@@ -5,9 +5,10 @@
 //! Run with: `cargo bench -p silcfm-bench --bench structures`
 
 use silcfm_bench::timing::bench;
-use silcfm_cache::{AccessKind, SetAssocCache};
+use silcfm_cache::{AccessKind, CacheHierarchy, SetAssocCache};
 use silcfm_core::{BitVectorTable, SilcFm, SilcFmParams, WayPredictor};
 use silcfm_dram::{DramConfig, DramModel};
+use silcfm_types::rng::SplitMix64;
 use silcfm_types::{Access, AddressSpace, CoreId, Geometry, MemoryScheme, PhysAddr, SystemConfig};
 
 fn bench_history_table() {
@@ -39,6 +40,35 @@ fn bench_cache() {
     bench("set_assoc_cache", "l2_access", || {
         line = line.wrapping_add(97);
         std::hint::black_box(cache.access(line % (1 << 20), AccessKind::Read));
+    });
+    // Random lines over four times each cache's capacity on the benchmark
+    // machine (`SystemConfig::experiment()`): the 4-way L1D and the 16-way
+    // LLC probe on a mix of hits and evictions, one write in four.
+    let cfg = SystemConfig::experiment();
+    for (name, params) in [("l1d_random_4way", cfg.l1d), ("l2_random_16way", cfg.l2)] {
+        let mut cache = SetAssocCache::new(params);
+        let lines = 4 * params.capacity_bytes / u64::from(params.line_bytes);
+        let mut rng = SplitMix64::new(2017);
+        bench("set_assoc_cache", name, || {
+            let r = rng.next_u64();
+            let kind = if r >> 62 == 0 {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            std::hint::black_box(cache.access(r % lines, kind));
+        });
+    }
+    let mut hierarchy = CacheHierarchy::new(&cfg);
+    let cores = u64::from(cfg.core.cores);
+    let line_bytes = u64::from(cfg.l2.line_bytes);
+    let lines = 4 * cfg.l2.capacity_bytes / line_bytes;
+    let mut rng = SplitMix64::new(2017);
+    bench("cache_hierarchy", "access_data_random", || {
+        let r = rng.next_u64();
+        let core = CoreId::new((r % cores) as u16);
+        let addr = PhysAddr::new((r >> 8) % lines * line_bytes);
+        std::hint::black_box(hierarchy.access_data(core, addr, r >> 62 == 0));
     });
 }
 

@@ -4,13 +4,57 @@ use silcfm_types::{CoreId, PhysAddr, SystemConfig};
 
 use crate::set_assoc::{AccessKind, SetAssocCache};
 
+/// Most dirty LLC victims one hierarchy access can produce: one from
+/// installing the dirty L1 victim in L2, one from the demand fill.
+const MAX_WRITEBACKS: usize = 2;
+
+/// The dirty LLC victims of one hierarchy access, held inline so a dirty
+/// eviction never allocates. Derefs to `[PhysAddr]` in eviction order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Writebacks {
+    /// Slots past `len` stay `PhysAddr::default()` (nothing is ever
+    /// removed), so the derived equality compares the lists.
+    addrs: [PhysAddr; MAX_WRITEBACKS],
+    len: u8,
+}
+
+impl Writebacks {
+    fn push(&mut self, addr: PhysAddr) {
+        debug_assert!(
+            usize::from(self.len) < MAX_WRITEBACKS,
+            "one hierarchy access evicted more than {MAX_WRITEBACKS} dirty LLC lines"
+        );
+        if let Some(slot) = self.addrs.get_mut(usize::from(self.len)) {
+            *slot = addr;
+            self.len += 1;
+        }
+    }
+}
+
+impl std::ops::Deref for Writebacks {
+    type Target = [PhysAddr];
+
+    fn deref(&self) -> &[PhysAddr] {
+        self.addrs.get(..usize::from(self.len)).unwrap_or_default()
+    }
+}
+
+impl<'a> IntoIterator for &'a Writebacks {
+    type Item = &'a PhysAddr;
+    type IntoIter = std::slice::Iter<'a, PhysAddr>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 /// Traffic a hierarchy access sends to the memory system.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MissTraffic {
     /// The demand line must be fetched from memory.
     pub demand_fetch: bool,
     /// Dirty LLC victims that must be written back to memory.
-    pub writebacks: Vec<PhysAddr>,
+    pub writebacks: Writebacks,
 }
 
 /// Result of one load/store/fetch through the hierarchy.
@@ -272,6 +316,35 @@ mod tests {
         assert!(
             !res.traffic.writebacks.is_empty(),
             "dirty L2 victim must be written back: {res:?}"
+        );
+    }
+
+    #[test]
+    fn one_access_writes_back_at_most_two_lines() {
+        // One 2-way set at both levels. The fourth store's dirty L1 victim
+        // (64) misses L2 and evicts dirty 0; its demand fill then evicts
+        // dirty 128: the `MAX_WRITEBACKS` bound is reached.
+        let two_way_set = |latency_cycles| silcfm_types::CacheParams {
+            capacity_bytes: 128,
+            ways: 2,
+            line_bytes: 64,
+            latency_cycles,
+        };
+        let cfg = SystemConfig {
+            l1d: two_way_set(4),
+            l2: two_way_set(11),
+            ..SystemConfig::small()
+        };
+        let mut h = CacheHierarchy::new(&cfg);
+        let c = CoreId::new(0);
+        for addr in [0, 64, 128] {
+            h.access_data(c, PhysAddr::new(addr), true);
+        }
+        let res = h.access_data(c, PhysAddr::new(192), true);
+        assert_eq!(res.traffic.writebacks.len(), MAX_WRITEBACKS);
+        assert_eq!(
+            *res.traffic.writebacks,
+            [PhysAddr::new(0), PhysAddr::new(128)]
         );
     }
 

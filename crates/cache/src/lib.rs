@@ -19,5 +19,5 @@
 pub mod hierarchy;
 pub mod set_assoc;
 
-pub use hierarchy::{CacheHierarchy, HierarchyAccess, HierarchyStats, MissTraffic};
+pub use hierarchy::{CacheHierarchy, HierarchyAccess, HierarchyStats, MissTraffic, Writebacks};
 pub use set_assoc::{AccessKind, AccessResult, SetAssocCache};

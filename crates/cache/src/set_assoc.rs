@@ -103,23 +103,6 @@ impl SetAssocCache {
         self.writebacks
     }
 
-    /// The set's ways as parallel `(tag word, LRU stamp)` pairs. Positioning
-    /// is `skip`/`take` rather than slicing so lookups stay panic-free; slice
-    /// iterators advance in O(1), so this costs the same as `[base..base+w]`.
-    /// `base` is in bounds by construction (`set < num_sets` after masking).
-    fn set_ways_mut<'a>(
-        lines: &'a mut [u64],
-        last_used: &'a mut [u64],
-        base: usize,
-        ways: usize,
-    ) -> impl Iterator<Item = (&'a mut u64, &'a mut u64)> {
-        lines
-            .iter_mut()
-            .skip(base)
-            .take(ways)
-            .zip(last_used.iter_mut().skip(base).take(ways))
-    }
-
     /// Looks up `line_addr`, allocating it on a miss (write-allocate) and
     /// returning any dirty victim.
     pub fn access(&mut self, line_addr: u64, kind: AccessKind) -> AccessResult {
@@ -129,10 +112,23 @@ impl SetAssocCache {
         let tag = line_addr >> self.set_shift;
         let want = (tag << TAG_SHIFT) | VALID_BIT;
         let base = set * self.ways;
+        // `base + ways <= lines.len()` by construction (`set < num_sets`
+        // after masking); the fallback keeps the probe panic-free.
+        let (Some(lines), Some(stamps)) = (
+            self.lines.get_mut(base..base + self.ways),
+            self.last_used.get_mut(base..base + self.ways),
+        ) else {
+            debug_assert!(false, "set {set} lies outside the cache arrays");
+            return AccessResult {
+                hit: false,
+                writeback: None,
+            };
+        };
 
-        if let Some((line, used)) =
-            Self::set_ways_mut(&mut self.lines, &mut self.last_used, base, self.ways)
-                .find(|(l, _)| **l & !DIRTY_BIT == want)
+        if let Some((line, used)) = lines
+            .iter_mut()
+            .zip(stamps.iter_mut())
+            .find(|(l, _)| **l & !DIRTY_BIT == want)
         {
             if kind == AccessKind::Write {
                 *line |= DIRTY_BIT;
@@ -146,20 +142,21 @@ impl SetAssocCache {
         }
 
         self.misses += 1;
-        // Choose an invalid way, else the LRU way. Invalid ways key below
-        // every valid one, and `min_by_key` takes the first minimum, so this
-        // is exactly "first invalid, else least-recently-used". Valid ways
-        // never tie: each allocation stamps a fresh nonzero clock.
-        let Some((line, used)) =
-            Self::set_ways_mut(&mut self.lines, &mut self.last_used, base, self.ways).min_by_key(
-                |(l, u)| {
-                    if **l & VALID_BIT == 0 {
-                        (0u8, 0u64)
-                    } else {
-                        (1u8, **u)
-                    }
-                },
-            )
+        // Choose an invalid way, else the LRU way. Invalid ways key 0 and
+        // valid ways key stamp + 1, and only a strictly smaller key replaces
+        // the candidate, so this is exactly "first invalid, else
+        // least-recently-used, first of equal minima". Valid ways never tie:
+        // each allocation stamps a fresh nonzero clock.
+        let mut victim_way = 0;
+        let mut victim_key = u64::MAX;
+        for (way, (&l, &u)) in lines.iter().zip(stamps.iter()).enumerate() {
+            let key = if l & VALID_BIT == 0 { 0 } else { u + 1 };
+            if key < victim_key {
+                victim_way = way;
+                victim_key = key;
+            }
+        }
+        let (Some(line), Some(used)) = (lines.get_mut(victim_way), stamps.get_mut(victim_way))
         else {
             debug_assert!(false, "CacheParams::sets() cannot yield zero ways");
             return AccessResult {
@@ -194,10 +191,8 @@ impl SetAssocCache {
         let want = (tag << TAG_SHIFT) | VALID_BIT;
         let base = set * self.ways;
         self.lines
-            .iter()
-            .skip(base)
-            .take(self.ways)
-            .any(|&l| l & !DIRTY_BIT == want)
+            .get(base..base + self.ways)
+            .is_some_and(|ways| ways.iter().any(|&l| l & !DIRTY_BIT == want))
     }
 
     /// Clears all contents and statistics.
