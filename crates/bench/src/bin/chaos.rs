@@ -38,8 +38,8 @@ use silcfm_serve::{run_serve, Aimd, AimdParams, FailureTimeline, ServeParams};
 use silcfm_sim::experiment::space_for;
 use silcfm_sim::runner::ExperimentGrid;
 use silcfm_sim::{
-    run_faulted, run_faulted_traced, run_grid_journaled, run_grid_journaled_sharded, FaultParams,
-    RunParams, RunResult, SchemeKind, ShardParams, TraceParams,
+    run_grid_journaled, run_spec, Engine, FaultParams, RunOutput, RunParams, RunResult, RunSpec,
+    SchemeKind, ShardParams, Tier, TraceParams,
 };
 use silcfm_trace::{arrivals, profiles};
 use silcfm_types::obs::Event;
@@ -169,14 +169,23 @@ fn traced_scheme_soak(opts: &Opts, violations: &mut Vec<String>) {
             }
         };
 
-        let (result, stats, report) =
-            match run_faulted_traced(profile, scheme, &cfg, &params, &faults, &trace) {
-                Ok(t) => t,
-                Err(e) => {
-                    violations.push(format!("{tag}: run failed: {e}"));
-                    continue;
-                }
-            };
+        let spec = RunSpec {
+            tier: Tier::Ring,
+            trace,
+            faults: Some(faults),
+            ..RunSpec::default()
+        };
+        let (result, stats, report) = match run_spec(profile, scheme, &cfg, &params, &spec) {
+            Ok(out) => (
+                out.result,
+                out.faults,
+                out.obs.expect("the ring tier always reports"),
+            ),
+            Err(e) => {
+                violations.push(format!("{tag}: run failed: {e}"));
+                continue;
+            }
+        };
         check(stats.injected > 0, "harsh soak delivered no faults".into());
         check(stats.conserved(), format!("effect ledger leaks: {stats:?}"));
         check(
@@ -241,8 +250,14 @@ fn traced_scheme_soak(opts: &Opts, violations: &mut Vec<String>) {
         }
 
         // Bit-identical replay, trace stream included.
-        match run_faulted_traced(profile, scheme, &cfg, &params, &faults, &trace) {
-            Ok((r2, s2, rep2)) => {
+        match run_spec(profile, scheme, &cfg, &params, &spec) {
+            Ok(RunOutput {
+                result: r2,
+                faults: s2,
+                obs,
+                ..
+            }) => {
+                let rep2 = obs.expect("the ring tier always reports");
                 check(s2 == stats, "fault ledger differs on replay".into());
                 check(
                     r2.cycles == result.cycles && r2.traffic == result.traffic,
@@ -282,7 +297,7 @@ fn grid_soak(opts: &Opts, violations: &mut Vec<String>) {
     let seeds = if opts.smoke { 1 } else { 2 };
 
     let mut total = FaultStats::default();
-    let mut first: Option<(FaultParams, SchemeKind, RunResult, FaultStats)> = None;
+    let mut first: Option<(RunSpec, SchemeKind, RunResult, FaultStats)> = None;
     for scheme in schemes {
         for (rate_name, rate) in &rates {
             for round in 0..seeds {
@@ -296,8 +311,12 @@ fn grid_soak(opts: &Opts, violations: &mut Vec<String>) {
                     scheme.label(),
                     faults.fault_seed
                 );
-                let (result, stats) = match run_faulted(profile, scheme, &cfg, &params, &faults) {
-                    Ok(t) => t,
+                let spec = RunSpec {
+                    faults: Some(faults),
+                    ..RunSpec::default()
+                };
+                let (result, stats) = match run_spec(profile, scheme, &cfg, &params, &spec) {
+                    Ok(out) => (out.result, out.faults),
                     Err(e) => {
                         violations.push(format!("{tag}: run failed: {e}"));
                         continue;
@@ -313,7 +332,7 @@ fn grid_soak(opts: &Opts, violations: &mut Vec<String>) {
                 }
                 total.merge(&stats);
                 if first.is_none() {
-                    first = Some((faults, scheme, result, stats));
+                    first = Some((spec, scheme, result, stats));
                 }
             }
         }
@@ -323,10 +342,10 @@ fn grid_soak(opts: &Opts, violations: &mut Vec<String>) {
     }
 
     // Replay the first cell: the whole plane must be deterministic.
-    if let Some((faults, scheme, result, stats)) = first {
-        match run_faulted(profile, scheme, &cfg, &params, &faults) {
-            Ok((r2, s2)) => {
-                if s2 != stats || r2 != result {
+    if let Some((spec, scheme, result, stats)) = first {
+        match run_spec(profile, scheme, &cfg, &params, &spec) {
+            Ok(out) => {
+                if out.faults != stats || out.result != result {
                     violations.push("grid: first cell differs on replay".into());
                 }
             }
@@ -556,13 +575,14 @@ fn journaled_grid(opts: &Opts, path: &PathBuf, violations: &mut Vec<String>) {
             std::process::exit(3);
         }
     };
-    let results = match opts.sharded {
-        Some(threads) => {
-            let shard = ShardParams::with_threads(threads.max(1));
-            run_grid_journaled_sharded(&jobs, 2, path, opts.resume, &shard, on_done)
-        }
-        None => run_grid_journaled(&jobs, 2, path, opts.resume, on_done),
+    let spec = RunSpec {
+        engine: match opts.sharded {
+            Some(threads) => Engine::Sharded(ShardParams::with_threads(threads.max(1))),
+            None => Engine::Serial,
+        },
+        ..RunSpec::default()
     };
+    let results = run_grid_journaled(&jobs, &spec, 2, path, opts.resume, on_done);
     match results {
         Ok(results) => {
             println!(

@@ -25,8 +25,10 @@
 //!   --skip-check  skip the serial-vs-sharded byte-identity gate
 
 use silcfm_obs::{LatencyBreakdown, QuantileSketch};
-use silcfm_sim::runner::{default_threads, run_grid_traced, ExperimentGrid};
-use silcfm_sim::{run_sharded_traced, RunParams, SchemeKind, ShardParams, TraceParams};
+use silcfm_sim::runner::{default_threads, run_grid, ExperimentGrid};
+use silcfm_sim::{
+    run_spec, Engine, RunParams, RunSpec, SchemeKind, ShardParams, Tier, TraceParams,
+};
 use silcfm_trace::profiles;
 use silcfm_types::{AccessClass, SystemConfig};
 
@@ -104,7 +106,7 @@ fn sharded_gate(
     serial: &[(SchemeKind, LatencyBreakdown)],
     cfg: &SystemConfig,
     params: &RunParams,
-    trace: &TraceParams,
+    spec: &RunSpec,
     threads: &[usize],
 ) {
     let profile = profiles::by_name(workload).expect("known workload");
@@ -115,9 +117,12 @@ fn sharded_gate(
             .map(|(_, lat)| breakdown_bytes(lat))
             .expect("serial pass covered every scheme");
         for &n in threads {
-            let shard = ShardParams::with_threads(n);
-            let (_, report, _) = run_sharded_traced(profile, kind, cfg, params, trace, &shard);
-            let got = breakdown_bytes(&report.latency);
+            let sharded = RunSpec {
+                engine: Engine::Sharded(ShardParams::with_threads(n)),
+                ..*spec
+            };
+            let out = run_spec(profile, kind, cfg, params, &sharded).expect("fault-free run");
+            let got = breakdown_bytes(&out.obs.expect("ring tier reports").latency);
             assert_eq!(
                 got,
                 want,
@@ -152,9 +157,13 @@ fn main() {
     } else {
         (SystemConfig::experiment(), RunParams::quick(), "quick")
     };
-    let trace = TraceParams {
-        events_capacity: EVENTS_CAPACITY,
-        ..TraceParams::default_capture()
+    let spec = RunSpec {
+        tier: Tier::Ring,
+        trace: TraceParams {
+            events_capacity: EVENTS_CAPACITY,
+            ..TraceParams::default_capture()
+        },
+        ..RunSpec::default()
     };
     let workloads: Vec<&str> = if opts.smoke {
         SMOKE_WORKLOADS.to_vec()
@@ -175,13 +184,17 @@ fn main() {
         grid = grid.workload(profiles::by_name(name).expect("known workload"));
     }
     let jobs = grid.schemes(kinds.iter().copied()).jobs();
-    let results = run_grid_traced(&jobs, &trace, default_threads());
+    let results: Vec<LatencyBreakdown> = run_grid(&jobs, &spec, default_threads())
+        .expect("fault-free grid")
+        .into_iter()
+        .map(|out| out.obs.expect("ring tier reports").latency)
+        .collect();
 
     // Results are workload-major in `kinds` order (the grid contract).
     let per_scheme: Vec<Vec<&LatencyBreakdown>> = (0..kinds.len())
         .map(|s| {
             (0..workloads.len())
-                .map(|w| &results[w * kinds.len() + s].1.latency)
+                .map(|w| &results[w * kinds.len() + s])
                 .collect()
         })
         .collect();
@@ -219,7 +232,7 @@ fn main() {
         let serial: Vec<(SchemeKind, LatencyBreakdown)> = kinds
             .iter()
             .enumerate()
-            .map(|(s, &kind)| (kind, results[s].1.latency.clone()))
+            .map(|(s, &kind)| (kind, results[s].clone()))
             .collect();
         sharded_gate(
             &kinds,
@@ -227,7 +240,7 @@ fn main() {
             &serial,
             &cfg,
             &params,
-            &trace,
+            &spec,
             threads,
         );
     }

@@ -30,7 +30,7 @@
 use std::time::Instant;
 
 use silcfm_obs::json;
-use silcfm_sim::{run, run_traced, RunParams, SchemeKind, TraceParams};
+use silcfm_sim::{run, run_spec, RunParams, RunSpec, SchemeKind, Tier, TraceParams};
 use silcfm_trace::profiles;
 use silcfm_types::SystemConfig;
 
@@ -132,17 +132,21 @@ fn fs_traced_rate(cfg: &SystemConfig, params: &RunParams, per_profile: u64) -> f
         accesses_per_core: (per_profile / cores).max(1),
         ..*params
     };
-    let trace = TraceParams {
-        events_capacity: EVENTS_CAPACITY,
-        ..TraceParams::default_capture()
+    let spec = RunSpec {
+        tier: Tier::Ring,
+        trace: TraceParams {
+            events_capacity: EVENTS_CAPACITY,
+            ..TraceParams::default_capture()
+        },
+        ..RunSpec::default()
     };
     let mut total = 0u64;
     let mut elapsed = 0.0f64;
     for profile in profiles::all() {
         let t0 = Instant::now();
-        let (r, report) = run_traced(profile, SchemeKind::silcfm(), cfg, &p, &trace);
+        let out = run_spec(profile, SchemeKind::silcfm(), cfg, &p, &spec).expect("fault-free run");
         elapsed += t0.elapsed().as_secs_f64();
-        std::hint::black_box((r.cycles, report.latency.count()));
+        std::hint::black_box(&out);
         total += p.accesses_per_core * cores;
     }
     total as f64 / elapsed

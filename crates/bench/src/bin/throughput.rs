@@ -17,26 +17,18 @@
 //! (serial vs sharded-parallel) so whole-grid speed is tracked alongside
 //! per-access speed. Results land in `results/BENCH_throughput.json`.
 //!
-//! The scheme-only layer is measured twice: access-at-a-time through
-//! [`MemoryScheme::access`], and in chunks of `--batch` accesses through
-//! [`MemoryScheme::access_batch`]. Before the batched layer is timed, a
-//! digest gate replays every stream both ways and asserts the op streams,
-//! service decisions, stalls, and end-of-run stats are byte-identical —
-//! a batched rate that changed the answer would be worthless.
-//!
 //! Run with: `cargo run --release -p silcfm-bench --bin throughput`
 //! Options:
 //!   --budget N    accesses per scheme per layer (default 560000)
-//!   --batch N     accesses per `access_batch` call in the batched layer
-//!                 (default 4096)
 //!   --repeats N   repetitions per measurement; best rate wins (default 3)
 //!   --out PATH    output JSON path (default results/BENCH_throughput.json)
 //!   --no-write    measure and print, but do not write the JSON
 //!   --skip-grid   skip the serial-vs-parallel grid timing
-//!   --overhead    also measure SILC-FM full-system with the ring tracers
-//!                 and epoch sampler live (tracer-on vs tracer-off acc/s),
-//!                 the metrics-only tier (latency sketches ON, no event
-//!                 buffering), plus the sampling tracer at 1-in-N rates
+//!   --overhead    also measure SILC-FM full-system on every traced tier
+//!                 of [`Tier`]: the ring tracers and epoch sampler live
+//!                 (tracer-on vs tracer-off acc/s), the metrics-only tier
+//!                 (latency sketches ON, no event buffering), plus the
+//!                 lean sampling tier at 1-in-N rates
 //!   --baseline P  JSON from a pre-change build of this binary; its rates
 //!                 are embedded as "pre_change" and a full-system SILC-FM
 //!                 speedup ratio is computed against it
@@ -45,23 +37,21 @@
 //! reported: minimum-time estimation discards interference from whatever
 //! else the host is running, which on shared machines dwarfs the
 //! simulator's own run-to-run variation.
+//!
+//! [`MemoryScheme::access`]: silcfm_types::MemoryScheme::access
 
-use std::hash::Hasher as _;
 use std::time::Instant;
 
 use silcfm_sim::experiment::space_for;
 use silcfm_sim::{
-    run, run_grid, run_grid_serial, run_metrics_only, run_sampled_lean, run_traced, ExperimentGrid,
-    RunParams, SchemeKind, TraceParams,
+    run_grid, run_grid_serial, run_spec, ExperimentGrid, RunParams, RunSpec, SchemeKind, Tier,
+    TraceParams,
 };
 use silcfm_trace::{profiles, PageMapper, PlacementPolicy, WorkloadGen};
-use silcfm_types::{Access, BatchOutcome, CoreId, FxHasher, MemKind, MemOp, SystemConfig};
+use silcfm_types::{Access, CoreId, SystemConfig};
 
 /// Default accesses per scheme per layer, spread over the profiles.
 const DEFAULT_BUDGET: u64 = 560_000;
-
-/// Default accesses per `access_batch` call in the batched layer.
-const DEFAULT_BATCH: u64 = 4096;
 
 /// Ring capacity for the `--overhead` regimes. The timed region includes
 /// system construction (as it does for the untraced rate, so both sides
@@ -79,7 +69,6 @@ const SAMPLING_PERIODS: [u64; 2] = [16, 256];
 
 struct Options {
     budget: u64,
-    batch: u64,
     repeats: u32,
     out: String,
     write: bool,
@@ -91,7 +80,6 @@ struct Options {
 fn parse_args() -> Options {
     let mut opts = Options {
         budget: DEFAULT_BUDGET,
-        batch: DEFAULT_BATCH,
         repeats: 3,
         out: "results/BENCH_throughput.json".to_string(),
         write: true,
@@ -106,11 +94,6 @@ fn parse_args() -> Options {
                 let v = args.next().expect("--budget needs a value");
                 opts.budget = v.parse().expect("--budget must be an integer");
             }
-            "--batch" => {
-                let v = args.next().expect("--batch needs a value");
-                opts.batch = v.parse().expect("--batch must be an integer");
-                assert!(opts.batch > 0, "--batch must be positive");
-            }
             "--repeats" => {
                 let v = args.next().expect("--repeats needs a value");
                 opts.repeats = v.parse().expect("--repeats must be an integer");
@@ -124,7 +107,7 @@ fn parse_args() -> Options {
             other => {
                 eprintln!("unknown argument '{other}'");
                 eprintln!(
-                    "usage: throughput [--budget N] [--batch N] [--repeats N] [--out PATH] \
+                    "usage: throughput [--budget N] [--repeats N] [--out PATH] \
                      [--no-write] [--skip-grid] [--overhead] [--baseline PATH]"
                 );
                 std::process::exit(2);
@@ -203,127 +186,32 @@ fn scheme_only_rate(
     best
 }
 
-/// Accesses/sec for one scheme with the stream driven through
-/// `MemoryScheme::access_batch` in chunks of `batch` accesses — the hot
-/// path the sharded consumer and figure harnesses can amortize virtual
-/// dispatch and outcome bookkeeping over.
-fn scheme_only_batched_rate(
-    kind: SchemeKind,
-    streams: &[(silcfm_types::AddressSpace, Vec<Access>)],
-    batch: u64,
-    repeats: u32,
-) -> f64 {
-    let batch = usize::try_from(batch.max(1)).unwrap_or(usize::MAX);
-    let mut best = 0.0f64;
-    for _ in 0..repeats {
-        let mut total = 0u64;
-        let mut elapsed = 0.0f64;
-        let mut sink = 0u64;
-        let mut out = BatchOutcome::new();
-        for (space, stream) in streams {
-            let mut scheme = kind.build(*space, stream.len() as u64);
-            let t0 = Instant::now();
-            for chunk in stream.chunks(batch) {
-                scheme.access_batch(chunk, &mut out);
-                sink ^= out.critical_bytes().wrapping_add(out.background_bytes());
-            }
-            elapsed += t0.elapsed().as_secs_f64();
-            total += stream.len() as u64;
-        }
-        std::hint::black_box(sink);
-        best = best.max(total as f64 / elapsed);
-    }
-    best
-}
-
-/// Folds one access's outcome — op streams, service decision, stall — into
-/// a digest. Used identically on the scalar and batched replays below.
-fn hash_outcome<'a>(
-    h: &mut FxHasher,
-    critical: impl Iterator<Item = &'a MemOp>,
-    background: impl Iterator<Item = &'a MemOp>,
-    serviced_from: MemKind,
-    stall: u64,
-) {
-    for op in critical {
-        h.write(format!("{op:?}").as_bytes());
-    }
-    h.write_u8(0xC1);
-    for op in background {
-        h.write(format!("{op:?}").as_bytes());
-    }
-    h.write_u8(0xB6);
-    h.write(format!("{serviced_from:?}").as_bytes());
-    h.write_u64(stall);
-}
-
-/// The digest gate in front of the batched layer: replays every stream
-/// access-at-a-time and in `batch`-sized chunks against fresh schemes and
-/// panics unless both produce byte-identical per-access outcomes and
-/// end-of-run stats. A batched rate measured on a path that changed the
-/// answer would be worthless, so this runs before any batched timing.
-fn batch_digest_gate(
-    kind: SchemeKind,
-    streams: &[(silcfm_types::AddressSpace, Vec<Access>)],
-    batch: u64,
-) {
-    let chunk_len = usize::try_from(batch.max(1)).unwrap_or(usize::MAX);
-    let mut scalar = FxHasher::default();
-    let mut out = silcfm_types::SchemeOutcome::empty();
-    for (space, stream) in streams {
-        let mut scheme = kind.build(*space, stream.len() as u64);
-        for access in stream {
-            scheme.access(access, &mut out);
-            hash_outcome(
-                &mut scalar,
-                out.critical.iter(),
-                out.background.iter(),
-                out.serviced_from,
-                out.global_stall_cycles,
-            );
-        }
-        scalar.write(format!("{:?}", scheme.stats()).as_bytes());
-    }
-
-    let mut batched = FxHasher::default();
-    let mut bout = BatchOutcome::new();
-    for (space, stream) in streams {
-        let mut scheme = kind.build(*space, stream.len() as u64);
-        for chunk in stream.chunks(chunk_len) {
-            scheme.access_batch(chunk, &mut bout);
-            for view in bout.iter() {
-                hash_outcome(
-                    &mut batched,
-                    view.critical.iter(),
-                    view.background.iter(),
-                    view.serviced_from,
-                    view.global_stall_cycles,
-                );
-            }
-        }
-        batched.write(format!("{:?}", scheme.stats()).as_bytes());
-    }
-
-    assert_eq!(
-        scalar.finish(),
-        batched.finish(),
-        "{}: access_batch(batch={batch}) diverged from the scalar access path",
-        kind.label()
-    );
-}
-
-/// Accesses/sec for one scheme through the full `System::run` pipeline.
+/// Accesses/sec for one scheme through the full `System::run` pipeline on
+/// `tier`. [`Tier::Off`] is what the experiment harnesses pay; the gap
+/// against it is the price of the tier's observability: the ring tracers
+/// plus metrics plane, the metrics plane (latency sketches) alone, or the
+/// always-on lean sampling tier. The NullTracer build pays nothing (the
+/// emit sites monomorphize away).
 fn full_system_rate(
     kind: SchemeKind,
     cfg: &SystemConfig,
     params: &RunParams,
     per_profile: u64,
     repeats: u32,
+    tier: Tier,
 ) -> f64 {
     let cores = u64::from(cfg.core.cores);
     let p = RunParams {
         accesses_per_core: (per_profile / cores).max(1),
         ..*params
+    };
+    let spec = RunSpec {
+        tier,
+        trace: TraceParams {
+            events_capacity: OVERHEAD_EVENTS_CAPACITY,
+            ..TraceParams::default_capture()
+        },
+        ..RunSpec::default()
     };
     let mut best = 0.0f64;
     for _ in 0..repeats {
@@ -331,127 +219,10 @@ fn full_system_rate(
         let mut elapsed = 0.0f64;
         for profile in profiles::all() {
             let t0 = Instant::now();
-            let r = run(profile, kind, cfg, &p);
+            let out =
+                run_spec(profile, kind, cfg, &p, &spec).expect("a fault-free run cannot fail");
             elapsed += t0.elapsed().as_secs_f64();
-            std::hint::black_box(r.cycles);
-            total += p.accesses_per_core * cores;
-        }
-        best = best.max(total as f64 / elapsed);
-    }
-    best
-}
-
-/// Accesses/sec for one scheme through `System::run` with the full
-/// observability stack live: ring tracers on the controller and both DRAM
-/// devices, the demand-latency histograms, and the epoch sampler. The gap
-/// against [`full_system_rate`] is the price of turning tracing on; the
-/// NullTracer build pays nothing (the emit sites monomorphize away).
-fn full_system_traced_rate(
-    kind: SchemeKind,
-    cfg: &SystemConfig,
-    params: &RunParams,
-    per_profile: u64,
-    repeats: u32,
-) -> f64 {
-    let cores = u64::from(cfg.core.cores);
-    let p = RunParams {
-        accesses_per_core: (per_profile / cores).max(1),
-        ..*params
-    };
-    let trace = TraceParams {
-        events_capacity: OVERHEAD_EVENTS_CAPACITY,
-        ..TraceParams::default_capture()
-    };
-    let mut best = 0.0f64;
-    for _ in 0..repeats {
-        let mut total = 0u64;
-        let mut elapsed = 0.0f64;
-        for profile in profiles::all() {
-            let t0 = Instant::now();
-            let (r, report) = run_traced(profile, kind, cfg, &p, &trace);
-            elapsed += t0.elapsed().as_secs_f64();
-            std::hint::black_box((r.cycles, report.event_count()));
-            total += p.accesses_per_core * cores;
-        }
-        best = best.max(total as f64 / elapsed);
-    }
-    best
-}
-
-/// Accesses/sec for one scheme through `System::run` with only the
-/// metrics plane live: the per-class latency quantile sketches, the
-/// demand-latency histograms and the epoch sampler populate, but no event
-/// is buffered anywhere (`MetricsOnlyTracer` no-ops `record`, and the
-/// controller runs its untraced build). The gap against
-/// [`full_system_rate`] is the price of the latency-percentile plane
-/// itself — the "sketches ON vs OFF" number — which the plane is designed
-/// to keep under a few percent.
-fn full_system_metrics_rate(
-    kind: SchemeKind,
-    cfg: &SystemConfig,
-    params: &RunParams,
-    per_profile: u64,
-    repeats: u32,
-) -> f64 {
-    let cores = u64::from(cfg.core.cores);
-    let p = RunParams {
-        accesses_per_core: (per_profile / cores).max(1),
-        ..*params
-    };
-    let trace = TraceParams {
-        events_capacity: OVERHEAD_EVENTS_CAPACITY,
-        ..TraceParams::default_capture()
-    };
-    let mut best = 0.0f64;
-    for _ in 0..repeats {
-        let mut total = 0u64;
-        let mut elapsed = 0.0f64;
-        for profile in profiles::all() {
-            let t0 = Instant::now();
-            let (r, report) = run_metrics_only(profile, kind, cfg, &p, &trace);
-            elapsed += t0.elapsed().as_secs_f64();
-            std::hint::black_box((r.cycles, report.latency.count()));
-            total += p.accesses_per_core * cores;
-        }
-        best = best.max(total as f64 / elapsed);
-    }
-    best
-}
-
-/// Accesses/sec for one scheme through `System::run` with the sampling
-/// tracer tier live in its always-on configuration: exact per-kind
-/// counters on every controller and DRAM event, full events retained
-/// one-in-`period`, and *no* epoch sampler or latency histograms (those
-/// are capture-session apparatus — `run_sampled` pays them too, the
-/// `--sampling` capture path in `trace_capture`). The gap against
-/// [`full_system_rate`] is the always-on observability cost the tier is
-/// built to keep under a few percent.
-fn full_system_sampled_rate(
-    kind: SchemeKind,
-    cfg: &SystemConfig,
-    params: &RunParams,
-    per_profile: u64,
-    repeats: u32,
-    period: u64,
-) -> f64 {
-    let cores = u64::from(cfg.core.cores);
-    let p = RunParams {
-        accesses_per_core: (per_profile / cores).max(1),
-        ..*params
-    };
-    let trace = TraceParams {
-        events_capacity: OVERHEAD_EVENTS_CAPACITY,
-        ..TraceParams::default_capture()
-    };
-    let mut best = 0.0f64;
-    for _ in 0..repeats {
-        let mut total = 0u64;
-        let mut elapsed = 0.0f64;
-        for profile in profiles::all() {
-            let t0 = Instant::now();
-            let (r, counters) = run_sampled_lean(profile, kind, cfg, &p, &trace, period);
-            elapsed += t0.elapsed().as_secs_f64();
-            std::hint::black_box((r.cycles, counters));
+            std::hint::black_box(&out);
             total += p.accesses_per_core * cores;
         }
         best = best.max(total as f64 / elapsed);
@@ -484,14 +255,15 @@ fn grid_times() -> (usize, usize, f64, f64) {
     let serial_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let t1 = Instant::now();
-    let parallel = run_grid(&jobs, threads);
+    let parallel =
+        run_grid(&jobs, &RunSpec::default(), threads).expect("a fault-free grid cannot fail");
     let parallel_ms = t1.elapsed().as_secs_f64() * 1e3;
 
     assert!(
         serial
             .iter()
             .zip(&parallel)
-            .all(|(s, p)| s.cycles == p.cycles && s.traffic == p.traffic),
+            .all(|(s, p)| s.cycles == p.result.cycles && s.traffic == p.result.traffic),
         "parallel runner diverged from the serial path"
     );
     (jobs.len(), threads, serial_ms, parallel_ms)
@@ -557,28 +329,18 @@ fn main() {
     let streams = generate_streams(&cfg, &params, per_profile);
 
     let mut scheme_only: Vec<(&'static str, f64)> = Vec::new();
-    let mut scheme_only_batched: Vec<(&'static str, f64)> = Vec::new();
     let mut full_system: Vec<(&'static str, f64)> = Vec::new();
     println!(
-        "\n{:8} {:>18} {:>18} {:>18}",
-        "scheme", "scheme-only acc/s", "batched acc/s", "full-system acc/s"
+        "\n{:8} {:>18} {:>18}",
+        "scheme", "scheme-only acc/s", "full-system acc/s"
     );
     for kind in lineup() {
-        // The gate first: no batched number is printed for a scheme whose
-        // batched path does not reproduce the scalar one exactly.
-        batch_digest_gate(kind, &streams, opts.batch);
         let so = scheme_only_rate(kind, &streams, opts.repeats);
-        let sb = scheme_only_batched_rate(kind, &streams, opts.batch, opts.repeats);
-        let fs = full_system_rate(kind, &cfg, &params, per_profile, opts.repeats);
-        println!("{:8} {:>18.0} {:>18.0} {:>18.0}", kind.label(), so, sb, fs);
+        let fs = full_system_rate(kind, &cfg, &params, per_profile, opts.repeats, Tier::Off);
+        println!("{:8} {:>18.0} {:>18.0}", kind.label(), so, fs);
         scheme_only.push((kind.label(), so));
-        scheme_only_batched.push((kind.label(), sb));
         full_system.push((kind.label(), fs));
     }
-    println!(
-        "batch digest gate: ok for all schemes (batch={}, byte-identical to scalar)",
-        opts.batch
-    );
 
     let overhead = if opts.overhead {
         let kind = SchemeKind::silcfm();
@@ -596,18 +358,12 @@ fn main() {
             .map(|&period| (period, 0.0))
             .collect();
         for _ in 0..opts.repeats.max(1) {
-            off = off.max(full_system_rate(kind, &cfg, &params, per_profile, 1));
-            on = on.max(full_system_traced_rate(kind, &cfg, &params, per_profile, 1));
-            metrics = metrics.max(full_system_metrics_rate(
-                kind,
-                &cfg,
-                &params,
-                per_profile,
-                1,
-            ));
+            let rate = |tier| full_system_rate(kind, &cfg, &params, per_profile, 1, tier);
+            off = off.max(rate(Tier::Off));
+            on = on.max(rate(Tier::Ring));
+            metrics = metrics.max(rate(Tier::MetricsOnly));
             for entry in &mut sampled {
-                let rate = full_system_sampled_rate(kind, &cfg, &params, per_profile, 1, entry.0);
-                entry.1 = entry.1.max(rate);
+                entry.1 = entry.1.max(rate(Tier::SampledLean { period: entry.0 }));
             }
         }
         println!(
@@ -689,8 +445,6 @@ fn main() {
             opts.budget,
             per_profile * n_profiles,
             &scheme_only,
-            &scheme_only_batched,
-            opts.batch,
             &full_system,
             grid,
             overhead.as_ref(),
@@ -705,13 +459,10 @@ fn main() {
 }
 
 /// Hand-rolled JSON (the workspace is dependency-free by policy).
-#[allow(clippy::too_many_arguments)]
 fn render_json(
     budget: u64,
     accesses: u64,
     scheme_only: &[(&'static str, f64)],
-    scheme_only_batched: &[(&'static str, f64)],
-    batch: u64,
     full_system: &[(&'static str, f64)],
     grid: Option<(usize, usize, f64, f64)>,
     overhead: Option<&Overhead>,
@@ -742,10 +493,6 @@ fn render_json(
     out.push_str("  },\n");
     out.push_str("  \"scheme_only\": {\n");
     out.push_str(&rates(scheme_only));
-    out.push_str("\n  },\n");
-    out.push_str("  \"scheme_only_batched\": {\n");
-    out.push_str(&format!("    \"batch\": {batch},\n"));
-    out.push_str(&rates(scheme_only_batched));
     out.push_str("\n  },\n");
     out.push_str("  \"full_system\": {\n");
     out.push_str(&rates(full_system));

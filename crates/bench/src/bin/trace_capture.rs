@@ -1,8 +1,8 @@
 //! Captures a fully traced run and exports the observability artifacts.
 //!
-//! Runs one (workload, scheme) pair through [`silcfm_sim::run_traced`] —
-//! the full system with ring tracers on the controller and both DRAM
-//! devices plus the epoch time-series sampler — then writes:
+//! Runs one (workload, scheme) pair through [`silcfm_sim::run_spec`] on the
+//! ring tier — the full system with ring tracers on the controller and both
+//! DRAM devices plus the epoch time-series sampler — then writes:
 //!
 //! * `--trace PATH` — Chrome trace-event JSON, loadable in
 //!   `chrome://tracing` or <https://ui.perfetto.dev> (timestamps are raw
@@ -29,7 +29,7 @@
 //!                     ring unchanged.
 
 use silcfm_obs::export;
-use silcfm_sim::{run_sampled, run_traced, RunParams, SchemeKind, TraceParams};
+use silcfm_sim::{run_spec, RunParams, RunSpec, SchemeKind, Tier, TraceParams};
 use silcfm_trace::profiles;
 use silcfm_types::obs::EVENT_KIND_LABELS;
 use silcfm_types::SystemConfig;
@@ -157,21 +157,26 @@ fn main() {
             None => String::new(),
         }
     );
-    let (result, report) = match opts.sampling {
-        Some(period) => {
-            let (result, report, counters) =
-                run_sampled(profile, scheme, &cfg, &params, &trace, period);
-            let total: u64 = counters.iter().sum();
-            println!("controller event counters ({total} events, exact):");
-            for (label, count) in EVENT_KIND_LABELS.iter().zip(counters.iter()) {
-                if *count > 0 {
-                    println!("  {label:<18} {count}");
-                }
-            }
-            (result, report)
-        }
-        None => run_traced(profile, scheme, &cfg, &params, &trace),
+    let spec = RunSpec {
+        tier: match opts.sampling {
+            Some(period) => Tier::Sampled { period },
+            None => Tier::Ring,
+        },
+        trace,
+        ..RunSpec::default()
     };
+    let out =
+        run_spec(profile, scheme, &cfg, &params, &spec).expect("a fault-free run cannot fail");
+    if opts.sampling.is_some() {
+        let total: u64 = out.counters.iter().sum();
+        println!("controller event counters ({total} events, exact):");
+        for (label, count) in EVENT_KIND_LABELS.iter().zip(out.counters.iter()) {
+            if *count > 0 {
+                println!("  {label:<18} {count}");
+            }
+        }
+    }
+    let (result, report) = (out.result, out.obs.expect("traced tiers always report"));
     println!(
         "run: {} cycles, access rate {:.3}, {} events captured, {} dropped",
         result.cycles,

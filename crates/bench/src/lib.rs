@@ -11,8 +11,8 @@
 
 pub mod timing;
 
-use silcfm_sim::runner::{default_threads, run_grid, ExperimentGrid};
-use silcfm_sim::{run, RunParams, RunResult, SchemeKind};
+use silcfm_sim::runner::{default_threads, run_grid, ExperimentGrid, Job};
+use silcfm_sim::{run, RunParams, RunResult, RunSpec, SchemeKind};
 use silcfm_trace::profiles;
 use silcfm_trace::profiles::WorkloadProfile;
 use silcfm_types::stats::geometric_mean;
@@ -73,10 +73,7 @@ pub fn run_matrix(kinds: &[SchemeKind], params: &RunParams) -> Vec<Vec<RunResult
         .all_workloads()
         .schemes(kinds.iter().copied())
         .jobs();
-    let flat = run_grid(&jobs, default_threads());
-    flat.chunks(kinds.len().max(1))
-        .map(<[RunResult]>::to_vec)
-        .collect()
+    run_rows(&jobs, kinds.len())
 }
 
 /// [`run_matrix`] over a named subset of Table III workloads, for the
@@ -96,8 +93,18 @@ pub fn run_named_matrix(
         grid = grid.workload(profiles::by_name(name).expect("known workload"));
     }
     let jobs = grid.schemes(kinds.iter().copied()).jobs();
-    let flat = run_grid(&jobs, default_threads());
-    flat.chunks(kinds.len().max(1))
+    run_rows(&jobs, kinds.len())
+}
+
+/// Runs workload-major `jobs` untraced across the worker pool and splits
+/// the results into rows of `per_row` schemes.
+fn run_rows(jobs: &[Job], per_row: usize) -> Vec<Vec<RunResult>> {
+    let flat: Vec<RunResult> = run_grid(jobs, &RunSpec::default(), default_threads())
+        .expect("a fault-free grid cannot fail")
+        .into_iter()
+        .map(|out| out.result)
+        .collect();
+    flat.chunks(per_row.max(1))
         .map(<[RunResult]>::to_vec)
         .collect()
 }

@@ -7,8 +7,8 @@ use silcfm_types::fault::{
 use silcfm_types::obs::{Event, FaultClass, NullTracer, TraceEvent, Tracer};
 use silcfm_types::stats::WindowedRate;
 use silcfm_types::{
-    Access, AccessFlags, AddressSpace, BatchOutcome, BlockIndex, Geometry, MemKind, MemOp,
-    MemoryScheme, OpSink, PhysAddr, SchemeOutcome, SchemeStats, SilcFmError, SubblockIndex,
+    Access, AccessFlags, AddressSpace, BlockIndex, Geometry, MemKind, MemOp, MemoryScheme, OpList,
+    PhysAddr, SchemeOutcome, SchemeStats, SilcFmError, SubblockIndex,
 };
 
 use crate::frametable::FrameTable;
@@ -290,13 +290,10 @@ impl<T: Tracer> SilcFm<T> {
     /// Emits the migration traffic for exchanging subblock `off` between
     /// frame `frame` and FM block `fm_block`. When `demand_covers_fetch` the
     /// demand access already reads the incoming subblock from `fetch_side`,
-    /// so that read is not charged again. Generic over the sink so the
-    /// scalar path ([`OpList`](silcfm_types::OpList)s in a
-    /// [`SchemeOutcome`]) and the batched path (flat vectors in a
-    /// [`BatchOutcome`]) share one body.
-    fn exchange<S: OpSink>(
+    /// so that read is not charged again.
+    fn exchange(
         &mut self,
-        ops: &mut S,
+        ops: &mut OpList,
         frame: u64,
         fm_block: BlockIndex,
         off: u32,
@@ -316,13 +313,13 @@ impl<T: Tracer> SilcFm<T> {
             );
         }
         if !(demand_covers_fetch && fetch_side == MemKind::Far) {
-            ops.push_op(MemOp::migration_read(MemKind::Far, fm, sb));
+            ops.push(MemOp::migration_read(MemKind::Far, fm, sb));
         }
         if !(demand_covers_fetch && fetch_side == MemKind::Near) {
-            ops.push_op(MemOp::migration_read(MemKind::Near, nm, sb));
+            ops.push(MemOp::migration_read(MemKind::Near, nm, sb));
         }
-        ops.push_op(MemOp::migration_write(MemKind::Near, nm, sb));
-        ops.push_op(MemOp::migration_write(MemKind::Far, fm, sb));
+        ops.push(MemOp::migration_write(MemKind::Near, nm, sb));
+        ops.push(MemOp::migration_write(MemKind::Far, fm, sb));
         self.subblock_exchanges += 1;
         if T::ENABLED {
             self.tracer.record(
@@ -337,7 +334,7 @@ impl<T: Tracer> SilcFm<T> {
 
     /// Restores frame `f` to its native contents (undoes the interleaving)
     /// and saves the tenancy bit vector to the history table.
-    fn restore_frame<S: OpSink>(&mut self, f: u64, ops: &mut S) {
+    fn restore_frame(&mut self, f: u64, ops: &mut OpList) {
         let slot = self.table.slot_of(f);
         if let Some(block) = self.table.remap(slot) {
             let mut bits = self.table.bitvec(slot);
@@ -360,7 +357,7 @@ impl<T: Tracer> SilcFm<T> {
 
     /// Locks the remapped FM block of frame `f` into NM by completing the
     /// exchange (§III-C).
-    fn lock_remap<S: OpSink>(&mut self, f: u64, ops: &mut S) {
+    fn lock_remap(&mut self, f: u64, ops: &mut OpList) {
         let slot = self.table.slot_of(f);
         let Some(block) = self.table.remap(slot) else {
             // Both callers guard on an existing tenancy, so this cannot
@@ -390,7 +387,7 @@ impl<T: Tracer> SilcFm<T> {
     }
 
     /// Locks frame `f`'s native block in place by undoing any interleaving.
-    fn lock_native<S: OpSink>(&mut self, f: u64, ops: &mut S) {
+    fn lock_native(&mut self, f: u64, ops: &mut OpList) {
         self.restore_frame(f, ops);
         let slot = self.table.slot_of(f);
         self.table.set_lock(slot, LockState::LockedNative);
@@ -408,6 +405,10 @@ impl<T: Tracer> SilcFm<T> {
 
     // ---- aging ------------------------------------------------------------
 
+    /// Ages every frame once per aging period. Kept out of line: its body
+    /// runs once per period, and inlined into its single caller (`access`)
+    /// it bloats the per-access path enough to cost ~15% end to end.
+    #[inline(never)]
     fn maybe_age(&mut self) {
         if self.access_count < self.next_aging {
             return;
@@ -476,7 +477,7 @@ impl<T: Tracer> SilcFm<T> {
     /// loss), demotes its locked pages, and masks it out of victim
     /// selection. Returns `Recovered` if any data moved, `Corrected` for an
     /// empty or already-degraded way, `Masked` for an out-of-range way.
-    fn degrade_way<S: OpSink>(&mut self, way: u8, bg: &mut S) -> FaultEffect {
+    fn degrade_way(&mut self, way: u8, bg: &mut OpList) -> FaultEffect {
         let w = u32::from(way);
         if w >= self.params.associativity {
             return FaultEffect::Masked;
@@ -560,7 +561,7 @@ impl<T: Tracer> SilcFm<T> {
     /// frame its own native block), with resident subblocks the pairwise
     /// exchange mapping — the only record of where both blocks' data
     /// lives — is gone.
-    fn metadata_parity<S: OpSink>(&mut self, frame: u32, bg: &mut S) -> FaultEffect {
+    fn metadata_parity(&mut self, frame: u32, bg: &mut OpList) -> FaultEffect {
         let f = u64::from(frame);
         if f >= self.space.nm_blocks(self.geom) {
             return FaultEffect::Masked;
@@ -575,7 +576,7 @@ impl<T: Tracer> SilcFm<T> {
         // activity counter, as a restore does) and schedule the metadata
         // rewrite.
         self.table.invalidate(slot);
-        bg.push_op(MemOp::metadata_write(
+        bg.push(MemOp::metadata_write(
             MemKind::Near,
             self.metadata_addr(f),
             METADATA_BYTES,
@@ -600,12 +601,12 @@ impl<T: Tracer> SilcFm<T> {
     /// Handles a request whose address lies in the NM space (Table I rows
     /// with "NM address = yes", plus locked-frame handling). Migration
     /// traffic is appended to `bg` (the caller's background list).
-    fn access_near<S: OpSink>(
+    fn access_near(
         &mut self,
         block: BlockIndex,
         off: u32,
         bypassing: bool,
-        bg: &mut S,
+        bg: &mut OpList,
     ) -> Resolution {
         let f = block.value();
         let slot = self.table.slot_of(f);
@@ -615,7 +616,7 @@ impl<T: Tracer> SilcFm<T> {
         let remap = self.table.remap(slot);
         let bit = self.table.bit(slot, off);
         let threshold = self.params.lock_threshold;
-        let bg_start = bg.ops_len();
+        let bg_start = bg.len();
 
         // Pairing the lock state with the tenancy makes the impossible
         // states (a locked remap or a set bit without a tenant) explicit:
@@ -680,7 +681,7 @@ impl<T: Tracer> SilcFm<T> {
                         data_addr: self.nm_subblock_addr(f, off),
                         metadata_reads: 1,
                         way: self.way_of(f),
-                        metadata_dirty: bg.ops_len() > bg_start,
+                        metadata_dirty: bg.len() > bg_start,
                     }
                 }
             }
@@ -690,13 +691,13 @@ impl<T: Tracer> SilcFm<T> {
     /// Handles a request whose address lies in the FM space (Table I rows 1,
     /// 2, 5 and 6). Migration traffic is appended to `bg` (the caller's
     /// background list).
-    fn access_far<S: OpSink>(
+    fn access_far(
         &mut self,
         block: BlockIndex,
         off: u32,
         pc: u64,
         bypassing: bool,
-        bg: &mut S,
+        bg: &mut OpList,
     ) -> Resolution {
         let set = self.set_of(block.value());
         let assoc = self.params.associativity;
@@ -713,7 +714,7 @@ impl<T: Tracer> SilcFm<T> {
             let now = self.access_count;
             self.table.set_lru(slot, now);
             let count = self.table.bump_fm(slot);
-            let bg_start = bg.ops_len();
+            let bg_start = bg.len();
 
             if self.table.bit(slot, off) {
                 // Row 1: remap match, bit set → service from NM.
@@ -730,7 +731,7 @@ impl<T: Tracer> SilcFm<T> {
                     data_addr: self.nm_subblock_addr(f, off),
                     metadata_reads: assoc,
                     way: way as u8,
-                    metadata_dirty: bg.ops_len() > bg_start,
+                    metadata_dirty: bg.len() > bg_start,
                 };
             }
             // Row 2: remap match, bit clear → the block's subblock is still
@@ -850,18 +851,14 @@ impl<T: Tracer> SilcFm<T> {
         }
     }
 
-    /// The whole access path, generic over the op sinks: the scalar
-    /// [`MemoryScheme::access`] drives it with the two `OpList`s of a
-    /// (cleared) [`SchemeOutcome`], the batched
-    /// [`MemoryScheme::access_batch`] with the flat vectors of a
-    /// [`BatchOutcome`] — one body, bit-identical traffic (pinned by the
-    /// batch property tests). Returns where the demand was serviced from;
+    /// The whole access path: fills the two op lists of a (cleared)
+    /// [`SchemeOutcome`] and returns where the demand was serviced from;
     /// SILC-FM never charges global stall cycles.
-    fn access_core<S: OpSink>(
+    fn access_core(
         &mut self,
         access: &Access,
-        critical: &mut S,
-        background: &mut S,
+        critical: &mut OpList,
+        background: &mut OpList,
     ) -> MemKind {
         self.access_count += 1;
         self.maybe_age();
@@ -937,7 +934,7 @@ impl<T: Tracer> SilcFm<T> {
             self.params.predictor && prediction.in_fm && resolution.serviced_from == MemKind::Far;
         // Overlapped metadata checks ride behind the demand (background);
         // a mispredicted way pays them serialized on the critical path.
-        let meta_list: &mut S = if fm_speculated || way_predicted {
+        let meta_list: &mut OpList = if fm_speculated || way_predicted {
             &mut *background
         } else {
             &mut *critical
@@ -947,16 +944,16 @@ impl<T: Tracer> SilcFm<T> {
                 self.set_of(block.value()),
                 i.min(self.params.associativity - 1),
             );
-            meta_list.push_op(MemOp::metadata_read(
+            meta_list.push(MemOp::metadata_read(
                 MemKind::Near,
                 self.metadata_addr(f),
                 METADATA_BYTES,
             ));
         }
-        critical.push_op(demand);
+        critical.push(demand);
         if resolution.metadata_dirty {
             let f = self.frame_id(self.set_of(block.value()), u32::from(resolution.way));
-            background.push_op(MemOp::metadata_write(
+            background.push(MemOp::metadata_write(
                 MemKind::Near,
                 self.metadata_addr(f),
                 METADATA_BYTES,
@@ -1004,22 +1001,6 @@ impl<T: Tracer> MemoryScheme for SilcFm<T> {
         } = out;
         *serviced_from = self.access_core(access, critical, background);
         out.flags = self.last_flags;
-    }
-
-    /// The batch-native hot path: one virtual dispatch, one outcome-storage
-    /// round and one scratch hand-off for the whole batch, with every
-    /// access's operations appended to two flat, contiguous vectors. Entry
-    /// `i` is byte-identical to what the scalar loop would have produced
-    /// (pinned by `tests/properties.rs`); SILC-FM charges no global stalls,
-    /// so every entry commits zero stall cycles — exactly like the scalar
-    /// path's cleared outcome.
-    fn access_batch(&mut self, accesses: &[Access], out: &mut BatchOutcome) {
-        out.clear();
-        for access in accesses {
-            let (critical, background) = out.sinks();
-            let from = self.access_core(access, critical, background);
-            out.commit(from, self.last_flags, 0);
-        }
     }
 
     fn name(&self) -> &'static str {

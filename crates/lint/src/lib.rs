@@ -76,7 +76,7 @@ pub const SERIES_NAMESPACE: &str = "obs.";
 pub const HOT_PATH_SEEDS: &[interproc::Seed] = &[
     interproc::Seed::TraitMethods {
         trait_name: "MemoryScheme",
-        methods: &["access", "access_batch", "access_fresh"],
+        methods: &["access", "access_fresh"],
     },
     interproc::Seed::TraitMethods {
         trait_name: "RecordFeed",

@@ -107,7 +107,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
 
 /// Setup/configuration modules where E1 applies: validation and
 /// construction code that callers invoke before a run starts. A bad knob
-/// must surface as a typed [`SilcFmError`], not a panic, so experiment
+/// must surface as a typed `SilcFmError`, not a panic, so experiment
 /// drivers (and the crash-safe journaled runner in particular) can report
 /// it and carry on with the rest of a grid.
 pub const SETUP_MODULES: &[&str] = &[

@@ -179,17 +179,11 @@ const LEGACY_COLLISION_WAIVERS: &[(&str, &str, &str)] = &[
          tests/diagnostics only",
     ),
     (
-        "crates/types/src/batch.rs",
-        "len",
-        "`self.critical.len()` (Vec::len) inside `commit` collided with the \
-         local `fn len`, a size accessor with no hot-path caller",
-    ),
-    (
         "crates/types/src/oplist.rs",
         "extend",
         "a legacy *seed*, not a discovered fn: the shipped tree has no \
          hot-path caller of `OpList::extend` (the `Extend` impl serves \
-         conversions and tests; hot fill goes through `push`/`push_op`)",
+         conversions and tests; hot fill goes through `push`)",
     ),
 ];
 

@@ -141,12 +141,12 @@ fn a1_is_silenced_by_an_annotated_allow() {
 }
 
 #[test]
-fn a1_covers_the_batched_access_path() {
+fn a1_spares_a_setup_only_constructor() {
     let (findings, suppressed) = lint_rust_source(
-        "crates/types/src/batch.rs",
-        include_str!("fixtures/a1_batch_bad.rs"),
+        "crates/types/src/scheme.rs",
+        include_str!("fixtures/a1_setup_ctor_bad.rs"),
     );
-    // `grow` is called from the `access_batch` seed, so its `vec![` fires;
+    // `grow` is called from the `access` seed, so its `vec![` fires;
     // the `with_capacity` constructor is only reachable from setup and
     // stays clean even though it calls `Vec::new`.
     assert_eq!(spots(&findings, "A1"), vec![12], "{findings:#?}");

@@ -20,7 +20,8 @@
 //!   construction).
 //! * **[`encode`](QuantileSketch::encode)/[`decode`](QuantileSketch::decode)**
 //!   round-trip the sketch through sparse whitespace-separated text fields,
-//!   bit-exactly, for the experiment journal.
+//!   bit-exactly, so byte equality of two encodings is equality of the
+//!   sketches — what every serial-vs-sharded latency gate compares.
 //!
 //! [`LatencyReservoir`] rides along for validation: a fixed-capacity
 //! uniform sample (Vitter's algorithm R) seeded from the run's SplitMix64
@@ -234,8 +235,7 @@ impl QuantileSketch {
     /// Appends the sketch as whitespace-separated fields:
     /// `count sum min max nnz (index count)*` — sparse (only non-zero
     /// buckets), deterministic, and bit-exact under
-    /// [`decode`](Self::decode). Used by the experiment journal, whose
-    /// tokens never contain whitespace.
+    /// [`decode`](Self::decode), so comparing encodings compares sketches.
     pub fn encode(&self, line: &mut String) {
         use core::fmt::Write as _;
         let nnz = self.counts.iter().filter(|&&c| c != 0).count();
@@ -252,8 +252,7 @@ impl QuantileSketch {
     }
 
     /// Parses fields appended by [`encode`](Self::encode) from a token
-    /// stream. Returns `None` on any shortfall or malformed field, exactly
-    /// like the journal's record decoder.
+    /// stream. Returns `None` on any shortfall or malformed field.
     pub fn decode<'a, I: Iterator<Item = &'a str>>(it: &mut I) -> Option<Self> {
         let mut int = || it.next()?.parse::<u64>().ok();
         let mut sketch = Self::new();
@@ -397,8 +396,7 @@ impl LatencyBreakdown {
         }
     }
 
-    /// Appends every class sketch as journal fields, in
-    /// [`AccessClass::ALL`] order.
+    /// Appends every class sketch's fields, in [`AccessClass::ALL`] order.
     pub fn encode(&self, line: &mut String) {
         for sketch in &self.class {
             sketch.encode(line);

@@ -1,5 +1,5 @@
-//! Experiment plumbing: scheme factory, run parameters, and the single-run
-//! entry point used by every figure harness.
+//! Experiment plumbing: scheme factory, run parameters, and [`run_spec`],
+//! the one entry point every simulation goes through.
 
 use silcfm_baselines::{Cameo, CameoParams, Hma, HmaParams, Pom, PomParams, RandomStatic};
 use silcfm_core::{SilcFm, SilcFmParams};
@@ -7,7 +7,7 @@ use silcfm_dram::DramConfig;
 use silcfm_fault::{FaultDriver, FaultRates, FaultSchedule, FaultStats, FaultTopology};
 use silcfm_obs::{MetricsOnlyTracer, ObsReport, RingTracer, SamplingTracer};
 use silcfm_trace::{profiles, PlacementPolicy, WorkloadProfile};
-use silcfm_types::obs::{Tracer, EVENT_KINDS};
+use silcfm_types::obs::{NullTracer, Tracer, EVENT_KINDS};
 use silcfm_types::{AddressSpace, Geometry, MemoryScheme, SilcFmError, SystemConfig};
 
 use crate::metrics::RunResult;
@@ -72,6 +72,19 @@ impl SchemeKind {
     /// simulated run so reduced runs exercise the same number of epochs and
     /// agings as the full-length ones.
     pub fn build(&self, space: AddressSpace, total_accesses: u64) -> Box<dyn MemoryScheme> {
+        self.build_with(space, total_accesses, NullTracer)
+    }
+
+    /// Like [`SchemeKind::build`], but a SILC-FM controller records its
+    /// observability events into `tracer`. Baseline schemes have no
+    /// controller-side emit points and ignore it (their trace hooks are the
+    /// [`MemoryScheme`] defaults).
+    pub fn build_with<T: Tracer + 'static>(
+        &self,
+        space: AddressSpace,
+        total_accesses: u64,
+        tracer: T,
+    ) -> Box<dyn MemoryScheme> {
         let period = (total_accesses / 16).max(1_000);
         match self {
             Self::NoNm | Self::Rand => Box::new(RandomStatic::new(space)),
@@ -105,54 +118,12 @@ impl SchemeKind {
                     ..PomParams::default()
                 },
             )),
-            Self::SilcFm(params) => Box::new(SilcFm::new(
-                space,
-                Geometry::paper(),
-                Self::scale_silcfm(params, total_accesses),
-            )),
-        }
-    }
-
-    /// Like [`SchemeKind::build`], but a SILC-FM controller records its
-    /// observability events into a ring buffer of `events_capacity`.
-    /// Baseline schemes have no controller-side emit points and build
-    /// unchanged (their trace hooks are the [`MemoryScheme`] defaults).
-    pub fn build_traced(
-        &self,
-        space: AddressSpace,
-        total_accesses: u64,
-        events_capacity: usize,
-    ) -> Box<dyn MemoryScheme> {
-        match self {
             Self::SilcFm(params) => Box::new(SilcFm::with_tracer(
                 space,
                 Geometry::paper(),
                 Self::scale_silcfm(params, total_accesses),
-                RingTracer::with_capacity(events_capacity),
+                tracer,
             )),
-            _ => self.build(space, total_accesses),
-        }
-    }
-
-    /// Like [`SchemeKind::build_traced`], but with the sampling tracer
-    /// tier: every controller event is counted, full events are retained
-    /// one-in-`sampling_period` (a power of two). Baseline schemes build
-    /// unchanged, as in `build_traced`.
-    pub fn build_sampled(
-        &self,
-        space: AddressSpace,
-        total_accesses: u64,
-        events_capacity: usize,
-        sampling_period: u64,
-    ) -> Box<dyn MemoryScheme> {
-        match self {
-            Self::SilcFm(params) => Box::new(SilcFm::with_tracer(
-                space,
-                Geometry::paper(),
-                Self::scale_silcfm(params, total_accesses),
-                SamplingTracer::with_capacity(events_capacity, sampling_period),
-            )),
-            _ => self.build(space, total_accesses),
         }
     }
 
@@ -270,7 +241,7 @@ pub fn space_for(
     AddressSpace::new(nm_blocks * 2048, fm_blocks * 2048)
 }
 
-/// Fault-injection knobs for [`run_faulted`]: an independent seed (so the
+/// Fault-injection knobs for [`RunSpec::faults`]: an independent seed (so the
 /// fault plane never perturbs workload or placement randomness), a schedule
 /// horizon in CPU cycles, and the per-class rates.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -321,7 +292,7 @@ impl FaultParams {
     }
 }
 
-/// Observability knobs for [`run_traced`].
+/// Observability sizing for the traced [`Tier`]s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceParams {
     /// Ring-buffer capacity (events) of each tracer: one for the
@@ -379,267 +350,235 @@ fn collect<T: Tracer>(
     }
 }
 
-/// Simulates `scheme` on `profile` (rate mode: one copy per core) and
-/// returns the measured metrics.
+/// Which tracers a run carries and whether it assembles an [`ObsReport`].
+/// Each tier fixes the controller tracer, the DRAM tracers and the
+/// [`RunObs`] apparatus together. Observation never steers the simulation:
+/// every tier returns a [`RunResult`] bit-identical to [`Tier::Off`]'s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Tier {
+    /// No tracers and no report: the untraced machine.
+    #[default]
+    Off,
+    /// The metrics plane only: the per-class latency quantile sketches,
+    /// the demand-latency histograms and the epoch sampler populate, but no
+    /// event is buffered — the DRAM devices carry [`MetricsOnlyTracer`]s
+    /// whose `record` inlines to nothing and the controller runs its
+    /// untraced build. Its latency plane is byte-identical to
+    /// [`Tier::Ring`]'s; its report's event stream is empty.
+    MetricsOnly,
+    /// Full observability: ring tracers of
+    /// [`TraceParams::events_capacity`] on the controller and both DRAM
+    /// devices, plus the metrics plane.
+    Ring,
+    /// The sampling tracer on the controller and both DRAM devices: every
+    /// event is counted ([`RunOutput::counters`]) and full events are
+    /// retained one-in-`period` (a power of two), plus the metrics plane.
+    Sampled {
+        /// Retention period; must be a power of two.
+        period: u64,
+    },
+    /// [`Tier::Sampled`] without the metrics plane (no epoch sampler, no
+    /// histograms, no report): the always-on configuration whose cost the
+    /// sampling tier's "few percent" budget is measured against.
+    SampledLean {
+        /// Retention period; must be a power of two.
+        period: u64,
+    },
+}
+
+/// Which engine executes a run. Both produce bit-identical results.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Engine {
+    /// The run loop on the calling thread, generators inline.
+    #[default]
+    Serial,
+    /// Workload generation on producer threads, the shared-state commit
+    /// loop on the calling thread, lane deltas merged at epoch barriers
+    /// (DESIGN.md §11).
+    Sharded(ShardParams),
+}
+
+/// Everything about *how* to run a simulation, apart from what to simulate:
+/// the tracer tier, its sizing, an optional fault schedule, and the engine.
+/// `RunSpec::default()` is the plain run: untraced, fault-free, serial.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct RunSpec {
+    /// Tracers and observability report.
+    pub tier: Tier,
+    /// Ring capacity and epoch spacing; ignored by [`Tier::Off`].
+    pub trace: TraceParams,
+    /// Deterministic fault schedule to arm, if any.
+    pub faults: Option<FaultParams>,
+    /// Serial or sharded execution.
+    pub engine: Engine,
+}
+
+/// What [`run_spec`] measured.
+#[derive(Debug, Clone)]
+pub struct RunOutput {
+    /// The figure-level metrics, bit-identical across tiers and engines.
+    pub result: RunResult,
+    /// The observability report; `Some` exactly for [`Tier::MetricsOnly`],
+    /// [`Tier::Ring`] and [`Tier::Sampled`].
+    pub obs: Option<ObsReport>,
+    /// The controller's exact per-kind event totals (indexed by
+    /// [`Event::kind_index`](silcfm_types::obs::Event::kind_index)); zero
+    /// except on the sampling tiers.
+    pub counters: [u64; EVENT_KINDS],
+    /// The fault-effect ledger; all zero when no faults were armed.
+    pub faults: FaultStats,
+    /// The sharded engine's merge report; `Some` exactly for
+    /// [`Engine::Sharded`].
+    pub shard: Option<ShardReport>,
+}
+
+/// Simulates `scheme` on `profile` (rate mode: one copy per core) the way
+/// `spec` says, and returns the measured metrics plus whatever the tier,
+/// fault plane and engine report.
+///
+/// # Errors
+///
+/// Returns [`SilcFmError::FaultConfig`] when `spec.faults` is invalid.
+///
+/// # Panics
+///
+/// Panics if a sampling tier's `period` is not a power of two.
+pub fn run_spec(
+    profile: &WorkloadProfile,
+    scheme: SchemeKind,
+    cfg: &SystemConfig,
+    params: &RunParams,
+    spec: &RunSpec,
+) -> Result<RunOutput, SilcFmError> {
+    let scaled = profiles::scaled(profile, params.footprint_scale);
+    let space = space_for(&scaled, cfg, params);
+    let total = params.accesses_per_core * u64::from(cfg.core.cores);
+    let prologue = Prologue {
+        profile,
+        scaled,
+        scheme,
+        cfg,
+        params,
+        space,
+        faults: spec
+            .faults
+            .map(|f| f.driver_for(&scheme, space))
+            .transpose()?,
+        engine: spec.engine,
+    };
+    let capacity = spec.trace.events_capacity;
+    // The expected length is a preallocation hint only; the sampler grows
+    // if the run overshoots.
+    let obs = || {
+        Some(RunObs::new(
+            spec.trace.epoch_cycles,
+            params.accesses_per_core.saturating_mul(64),
+        ))
+    };
+    let ring = || RingTracer::with_capacity(capacity);
+    let sampling = |period| SamplingTracer::with_capacity(capacity, period);
+    Ok(match spec.tier {
+        Tier::Off => prologue.drive(scheme.build(space, total), NullTracer, NullTracer, None),
+        Tier::MetricsOnly => prologue.drive(
+            scheme.build(space, total),
+            MetricsOnlyTracer,
+            MetricsOnlyTracer,
+            obs(),
+        ),
+        Tier::Ring => prologue.drive(
+            scheme.build_with(space, total, ring()),
+            ring(),
+            ring(),
+            obs(),
+        ),
+        Tier::Sampled { period } => prologue.drive(
+            scheme.build_with(space, total, sampling(period)),
+            sampling(period),
+            sampling(period),
+            obs(),
+        ),
+        Tier::SampledLean { period } => prologue.drive(
+            scheme.build_with(space, total, sampling(period)),
+            sampling(period),
+            sampling(period),
+            None,
+        ),
+    })
+}
+
+/// The tier-independent part of a run, prepared once by [`run_spec`].
+struct Prologue<'a> {
+    profile: &'a WorkloadProfile,
+    scaled: WorkloadProfile,
+    scheme: SchemeKind,
+    cfg: &'a SystemConfig,
+    params: &'a RunParams,
+    space: AddressSpace,
+    faults: Option<FaultDriver>,
+    engine: Engine,
+}
+
+impl Prologue<'_> {
+    /// Builds the machine around the tier's scheme instance and DRAM
+    /// tracers, runs it on the chosen engine, and collects every output.
+    fn drive<T: Tracer>(
+        self,
+        instance: Box<dyn MemoryScheme>,
+        nm_tracer: T,
+        fm_tracer: T,
+        obs: Option<RunObs>,
+    ) -> RunOutput {
+        let mut system = System::with_observability(
+            *self.cfg,
+            self.space,
+            self.scheme.placement(self.params.seed),
+            instance,
+            nm_tracer,
+            fm_tracer,
+            obs,
+        );
+        if let Some(driver) = self.faults {
+            system.set_fault_driver(driver);
+        }
+        let (apc, seed) = (self.params.accesses_per_core, self.params.seed);
+        let (outcome, shard) = match self.engine {
+            Engine::Serial => (system.run(&self.scaled, apc, seed), None),
+            Engine::Sharded(shard) => {
+                let (outcome, report) =
+                    run_system_sharded(&mut system, &self.scaled, apc, seed, &shard);
+                (outcome, Some(report))
+            }
+        };
+        let result = collect(self.profile, self.scheme, &system, outcome);
+        let counters = system.scheme().trace_counters();
+        let faults = *system.fault_stats();
+        let obs = system.finish_observation(outcome.cycles);
+        RunOutput {
+            result,
+            obs,
+            counters,
+            faults,
+            shard,
+        }
+    }
+}
+
+/// Simulates `scheme` on `profile` untraced, fault-free and serially:
+/// [`run_spec`] with the default [`RunSpec`].
 pub fn run(
     profile: &WorkloadProfile,
     scheme: SchemeKind,
     cfg: &SystemConfig,
     params: &RunParams,
 ) -> RunResult {
-    let scaled = profiles::scaled(profile, params.footprint_scale);
-    let space = space_for(&scaled, cfg, params);
-    let total_accesses = params.accesses_per_core * u64::from(cfg.core.cores);
-    let mut system = System::new(
-        *cfg,
-        space,
-        scheme.placement(params.seed),
-        scheme.build(space, total_accesses),
-    );
-    let outcome = system.run(&scaled, params.accesses_per_core, params.seed);
-    collect(profile, scheme, &system, outcome)
+    run_spec(profile, scheme, cfg, params, &RunSpec::default())
+        // silcfm-lint: allow(E1) -- the default spec arms no faults, the only fallible input
+        .expect("a fault-free run cannot fail")
+        .result
 }
 
-/// Like [`run`], but with full observability: ring-buffer tracers on the
-/// controller and both DRAM devices, demand-latency histograms and the
-/// epoch time series. Returns the (bit-identical to [`run`]) metrics plus
-/// the assembled [`ObsReport`].
-pub fn run_traced(
-    profile: &WorkloadProfile,
-    scheme: SchemeKind,
-    cfg: &SystemConfig,
-    params: &RunParams,
-    trace: &TraceParams,
-) -> (RunResult, ObsReport) {
-    let scaled = profiles::scaled(profile, params.footprint_scale);
-    let space = space_for(&scaled, cfg, params);
-    let total_accesses = params.accesses_per_core * u64::from(cfg.core.cores);
-    // Preallocation hint only; the sampler grows if the run overshoots.
-    let expected_cycles = params.accesses_per_core.saturating_mul(64);
-    let mut system = System::with_observability(
-        *cfg,
-        space,
-        scheme.placement(params.seed),
-        scheme.build_traced(space, total_accesses, trace.events_capacity),
-        RingTracer::with_capacity(trace.events_capacity),
-        RingTracer::with_capacity(trace.events_capacity),
-        Some(RunObs::new(trace.epoch_cycles, expected_cycles)),
-    );
-    let outcome = system.run(&scaled, params.accesses_per_core, params.seed);
-    let result = collect(profile, scheme, &system, outcome);
-    let report = system
-        .finish_observation(outcome.cycles)
-        // silcfm-lint: allow(E1) -- with_observability ten lines up always installs RunObs; the invariant is local
-        .expect("the system above is always built with observability");
-    (result, report)
-}
-
-/// Like [`run_traced`], but on the metrics-only tier: the `T::ENABLED`
-/// observability hooks are live — the per-class latency quantile sketches,
-/// the demand-latency histograms, and the epoch sampler all populate — yet
-/// no event is ever buffered: the DRAM devices carry
-/// [`MetricsOnlyTracer`]s whose `record` inlines to nothing, and the
-/// controller runs its untraced build. The returned [`ObsReport`] has the
-/// full latency-percentile plane and time series but an empty event
-/// stream. This is the cheapest "sketches ON" configuration; the
-/// `throughput --overhead` bench prices it against the untraced run.
-///
-/// The latency plane it produces is byte-identical to [`run_traced`]'s:
-/// both fold the same demand completions in the same order — the tracer
-/// tier only decides whether events are *retained*, never what the
-/// simulation does.
-pub fn run_metrics_only(
-    profile: &WorkloadProfile,
-    scheme: SchemeKind,
-    cfg: &SystemConfig,
-    params: &RunParams,
-    trace: &TraceParams,
-) -> (RunResult, ObsReport) {
-    let scaled = profiles::scaled(profile, params.footprint_scale);
-    let space = space_for(&scaled, cfg, params);
-    let total_accesses = params.accesses_per_core * u64::from(cfg.core.cores);
-    let expected_cycles = params.accesses_per_core.saturating_mul(64);
-    let mut system = System::with_observability(
-        *cfg,
-        space,
-        scheme.placement(params.seed),
-        scheme.build(space, total_accesses),
-        MetricsOnlyTracer,
-        MetricsOnlyTracer,
-        Some(RunObs::new(trace.epoch_cycles, expected_cycles)),
-    );
-    let outcome = system.run(&scaled, params.accesses_per_core, params.seed);
-    let result = collect(profile, scheme, &system, outcome);
-    let report = system
-        .finish_observation(outcome.cycles)
-        // silcfm-lint: allow(E1) -- with_observability ten lines up always installs RunObs; the invariant is local
-        .expect("the system above is always built with observability");
-    (result, report)
-}
-
-/// Like [`run_traced`], but on the sampling tracer tier: the controller and
-/// both DRAM devices count every event and retain full events only
-/// one-in-`sampling_period` (a power of two), so the observability cost is
-/// a few percent instead of the ring tier's double-digit share. Returns the metrics, the
-/// [`ObsReport`] assembled from the sampled stream, and the controller's
-/// exact per-kind event totals (indexed by
-/// [`Event::kind_index`](silcfm_types::obs::Event::kind_index)).
-///
-/// # Panics
-///
-/// Panics if `sampling_period` is not a power of two.
-pub fn run_sampled(
-    profile: &WorkloadProfile,
-    scheme: SchemeKind,
-    cfg: &SystemConfig,
-    params: &RunParams,
-    trace: &TraceParams,
-    sampling_period: u64,
-) -> (RunResult, ObsReport, [u64; EVENT_KINDS]) {
-    let scaled = profiles::scaled(profile, params.footprint_scale);
-    let space = space_for(&scaled, cfg, params);
-    let total_accesses = params.accesses_per_core * u64::from(cfg.core.cores);
-    let expected_cycles = params.accesses_per_core.saturating_mul(64);
-    let mut system = System::with_observability(
-        *cfg,
-        space,
-        scheme.placement(params.seed),
-        scheme.build_sampled(
-            space,
-            total_accesses,
-            trace.events_capacity,
-            sampling_period,
-        ),
-        SamplingTracer::with_capacity(trace.events_capacity, sampling_period),
-        SamplingTracer::with_capacity(trace.events_capacity, sampling_period),
-        Some(RunObs::new(trace.epoch_cycles, expected_cycles)),
-    );
-    let outcome = system.run(&scaled, params.accesses_per_core, params.seed);
-    let result = collect(profile, scheme, &system, outcome);
-    let counters = system.scheme().trace_counters();
-    let report = system
-        .finish_observation(outcome.cycles)
-        // silcfm-lint: allow(E1) -- with_observability above always installs RunObs; the invariant is local
-        .expect("the system above is always built with observability");
-    (result, report, counters)
-}
-
-/// The always-on configuration of the sampling tier: sampling tracers on
-/// the controller and both DRAM devices, but *no* epoch sampler and no
-/// demand-latency histograms (those belong to a capture session, not to a
-/// tier meant to stay live in production runs). This is the configuration
-/// whose overhead the tier's "few percent" budget is measured against —
-/// [`run_sampled`] additionally pays the `RunObs` metrics apparatus, which
-/// is the larger share of its cost. Returns the (bit-identical) metrics
-/// plus the controller's exact per-kind event totals.
-///
-/// # Panics
-///
-/// Panics if `sampling_period` is not a power of two.
-pub fn run_sampled_lean(
-    profile: &WorkloadProfile,
-    scheme: SchemeKind,
-    cfg: &SystemConfig,
-    params: &RunParams,
-    trace: &TraceParams,
-    sampling_period: u64,
-) -> (RunResult, [u64; EVENT_KINDS]) {
-    let scaled = profiles::scaled(profile, params.footprint_scale);
-    let space = space_for(&scaled, cfg, params);
-    let total_accesses = params.accesses_per_core * u64::from(cfg.core.cores);
-    let mut system = System::with_observability(
-        *cfg,
-        space,
-        scheme.placement(params.seed),
-        scheme.build_sampled(
-            space,
-            total_accesses,
-            trace.events_capacity,
-            sampling_period,
-        ),
-        SamplingTracer::with_capacity(trace.events_capacity, sampling_period),
-        SamplingTracer::with_capacity(trace.events_capacity, sampling_period),
-        None,
-    );
-    let outcome = system.run(&scaled, params.accesses_per_core, params.seed);
-    let result = collect(profile, scheme, &system, outcome);
-    let counters = system.scheme().trace_counters();
-    (result, counters)
-}
-
-/// Like [`run`], but with a deterministic fault schedule armed: faults are
-/// delivered before the demand access that first reaches their cycle, the
-/// scheme and DRAM devices absorb or recover from them, and the returned
-/// ledger accounts every delivery.
-///
-/// # Errors
-///
-/// Returns [`SilcFmError::FaultConfig`] when `faults` is invalid.
-pub fn run_faulted(
-    profile: &WorkloadProfile,
-    scheme: SchemeKind,
-    cfg: &SystemConfig,
-    params: &RunParams,
-    faults: &FaultParams,
-) -> Result<(RunResult, FaultStats), SilcFmError> {
-    let scaled = profiles::scaled(profile, params.footprint_scale);
-    let space = space_for(&scaled, cfg, params);
-    let total_accesses = params.accesses_per_core * u64::from(cfg.core.cores);
-    let mut system = System::new(
-        *cfg,
-        space,
-        scheme.placement(params.seed),
-        scheme.build(space, total_accesses),
-    );
-    system.set_fault_driver(faults.driver_for(&scheme, space)?);
-    let outcome = system.run(&scaled, params.accesses_per_core, params.seed);
-    let result = collect(profile, scheme, &system, outcome);
-    Ok((result, *system.fault_stats()))
-}
-
-/// [`run_faulted`] with full observability, for harnesses that audit the
-/// fault plane's trace events (`fault_injected`, `recovered`, `poisoned`,
-/// `failover`) against the stats ledger.
-///
-/// # Errors
-///
-/// Returns [`SilcFmError::FaultConfig`] when `faults` is invalid.
-pub fn run_faulted_traced(
-    profile: &WorkloadProfile,
-    scheme: SchemeKind,
-    cfg: &SystemConfig,
-    params: &RunParams,
-    faults: &FaultParams,
-    trace: &TraceParams,
-) -> Result<(RunResult, FaultStats, ObsReport), SilcFmError> {
-    let scaled = profiles::scaled(profile, params.footprint_scale);
-    let space = space_for(&scaled, cfg, params);
-    let total_accesses = params.accesses_per_core * u64::from(cfg.core.cores);
-    let expected_cycles = params.accesses_per_core.saturating_mul(64);
-    let mut system = System::with_observability(
-        *cfg,
-        space,
-        scheme.placement(params.seed),
-        scheme.build_traced(space, total_accesses, trace.events_capacity),
-        RingTracer::with_capacity(trace.events_capacity),
-        RingTracer::with_capacity(trace.events_capacity),
-        Some(RunObs::new(trace.epoch_cycles, expected_cycles)),
-    );
-    system.set_fault_driver(faults.driver_for(&scheme, space)?);
-    let outcome = system.run(&scaled, params.accesses_per_core, params.seed);
-    let result = collect(profile, scheme, &system, outcome);
-    let fault_stats = *system.fault_stats();
-    let report = system
-        .finish_observation(outcome.cycles)
-        .ok_or_else(|| SilcFmError::experiment("traced run lost its observability state"))?;
-    Ok((result, fault_stats, report))
-}
-
-/// [`run`] with the simulation itself sharded across threads: workload
-/// generation on producer threads, the shared-state commit loop on the
-/// calling thread, lane deltas merged at epoch barriers (DESIGN.md §11).
-/// The [`RunResult`] is bit-identical to [`run`]'s at any
-/// [`ShardParams::threads`].
+/// [`run`] on the sharded engine ([`Engine::Sharded`]): the [`RunResult`]
+/// is bit-identical to [`run`]'s at any [`ShardParams::threads`].
 pub fn run_sharded(
     profile: &WorkloadProfile,
     scheme: SchemeKind,
@@ -647,98 +586,16 @@ pub fn run_sharded(
     params: &RunParams,
     shard: &ShardParams,
 ) -> (RunResult, ShardReport) {
-    let scaled = profiles::scaled(profile, params.footprint_scale);
-    let space = space_for(&scaled, cfg, params);
-    let total_accesses = params.accesses_per_core * u64::from(cfg.core.cores);
-    let mut system = System::new(
-        *cfg,
-        space,
-        scheme.placement(params.seed),
-        scheme.build(space, total_accesses),
-    );
-    let (outcome, report) = run_system_sharded(
-        &mut system,
-        &scaled,
-        params.accesses_per_core,
-        params.seed,
-        shard,
-    );
-    (collect(profile, scheme, &system, outcome), report)
-}
-
-/// [`run_traced`] on the sharded runner: full observability, bit-identical
-/// results and exports at any thread count (tracing rides the consumer
-/// thread, which commits all shared state serially).
-pub fn run_sharded_traced(
-    profile: &WorkloadProfile,
-    scheme: SchemeKind,
-    cfg: &SystemConfig,
-    params: &RunParams,
-    trace: &TraceParams,
-    shard: &ShardParams,
-) -> (RunResult, ObsReport, ShardReport) {
-    let scaled = profiles::scaled(profile, params.footprint_scale);
-    let space = space_for(&scaled, cfg, params);
-    let total_accesses = params.accesses_per_core * u64::from(cfg.core.cores);
-    let expected_cycles = params.accesses_per_core.saturating_mul(64);
-    let mut system = System::with_observability(
-        *cfg,
-        space,
-        scheme.placement(params.seed),
-        scheme.build_traced(space, total_accesses, trace.events_capacity),
-        RingTracer::with_capacity(trace.events_capacity),
-        RingTracer::with_capacity(trace.events_capacity),
-        Some(RunObs::new(trace.epoch_cycles, expected_cycles)),
-    );
-    let (outcome, shard_report) = run_system_sharded(
-        &mut system,
-        &scaled,
-        params.accesses_per_core,
-        params.seed,
-        shard,
-    );
-    let result = collect(profile, scheme, &system, outcome);
-    let report = system
-        .finish_observation(outcome.cycles)
-        // silcfm-lint: allow(E1) -- with_observability above always installs RunObs; the invariant is local
-        .expect("the system above is always built with observability");
-    (result, report, shard_report)
-}
-
-/// [`run_faulted`] on the sharded runner: the fault schedule is delivered
-/// on the consumer thread in the same cycle order as the serial path, so
-/// the ledger — which still satisfies `conserved()` — is bit-identical.
-///
-/// # Errors
-///
-/// Returns [`SilcFmError::FaultConfig`] when `faults` is invalid.
-pub fn run_sharded_faulted(
-    profile: &WorkloadProfile,
-    scheme: SchemeKind,
-    cfg: &SystemConfig,
-    params: &RunParams,
-    faults: &FaultParams,
-    shard: &ShardParams,
-) -> Result<(RunResult, FaultStats, ShardReport), SilcFmError> {
-    let scaled = profiles::scaled(profile, params.footprint_scale);
-    let space = space_for(&scaled, cfg, params);
-    let total_accesses = params.accesses_per_core * u64::from(cfg.core.cores);
-    let mut system = System::new(
-        *cfg,
-        space,
-        scheme.placement(params.seed),
-        scheme.build(space, total_accesses),
-    );
-    system.set_fault_driver(faults.driver_for(&scheme, space)?);
-    let (outcome, report) = run_system_sharded(
-        &mut system,
-        &scaled,
-        params.accesses_per_core,
-        params.seed,
-        shard,
-    );
-    let result = collect(profile, scheme, &system, outcome);
-    Ok((result, *system.fault_stats(), report))
+    let spec = RunSpec {
+        engine: Engine::Sharded(*shard),
+        ..RunSpec::default()
+    };
+    let out = run_spec(profile, scheme, cfg, params, &spec)
+        // silcfm-lint: allow(E1) -- the spec arms no faults, the only fallible input
+        .expect("a fault-free run cannot fail");
+    // silcfm-lint: allow(E1) -- the sharded engine always reports its merge
+    let report = out.shard.expect("a sharded run reports its merge");
+    (out.result, report)
 }
 
 #[cfg(test)]
@@ -747,6 +604,24 @@ mod tests {
 
     fn profile() -> &'static WorkloadProfile {
         profiles::by_name("milc").unwrap()
+    }
+
+    fn faulted(faults: FaultParams) -> RunSpec {
+        RunSpec {
+            faults: Some(faults),
+            ..RunSpec::default()
+        }
+    }
+
+    /// SILC-FM on the smoke run under `tier`.
+    fn run_tier(tier: Tier, trace: TraceParams) -> RunOutput {
+        let spec = RunSpec {
+            tier,
+            trace,
+            ..RunSpec::default()
+        };
+        let (cfg, params) = (SystemConfig::small(), RunParams::smoke());
+        run_spec(profile(), SchemeKind::silcfm(), &cfg, &params, &spec).unwrap()
     }
 
     #[test]
@@ -820,8 +695,15 @@ mod tests {
             rates: FaultRates::none(),
         };
         let plain = run(profile(), SchemeKind::silcfm(), &cfg, &params);
-        let (faulted, stats) =
-            run_faulted(profile(), SchemeKind::silcfm(), &cfg, &params, &faults).unwrap();
+        let out = run_spec(
+            profile(),
+            SchemeKind::silcfm(),
+            &cfg,
+            &params,
+            &faulted(faults),
+        )
+        .unwrap();
+        let (faulted, stats) = (out.result, out.faults);
         assert_eq!(stats.injected, 0);
         assert_eq!(plain.cycles, faulted.cycles);
         assert_eq!(plain.traffic, faulted.traffic);
@@ -837,8 +719,10 @@ mod tests {
             horizon_cycles: 4_000_000,
             rates: FaultRates::harsh(),
         };
-        let (a, sa) = run_faulted(profile(), SchemeKind::silcfm(), &cfg, &params, &faults).unwrap();
-        let (b, sb) = run_faulted(profile(), SchemeKind::silcfm(), &cfg, &params, &faults).unwrap();
+        let spec = faulted(faults);
+        let a = run_spec(profile(), SchemeKind::silcfm(), &cfg, &params, &spec).unwrap();
+        let b = run_spec(profile(), SchemeKind::silcfm(), &cfg, &params, &spec).unwrap();
+        let (a, sa, b, sb) = (a.result, a.faults, b.result, b.faults);
         assert!(sa.injected > 0, "harsh rates must inject something");
         assert!(sa.conserved());
         assert_eq!(sa, sb);
@@ -856,7 +740,8 @@ mod tests {
             horizon_cycles: 4_000_000,
             rates: FaultRates::harsh(),
         };
-        let (r, stats) = run_faulted(profile(), SchemeKind::Hma, &cfg, &params, &faults).unwrap();
+        let out = run_spec(profile(), SchemeKind::Hma, &cfg, &params, &faulted(faults)).unwrap();
+        let (r, stats) = (out.result, out.faults);
         assert!(r.cycles > 0);
         assert!(stats.conserved());
         // The default `apply_fault` masks every scheme-side fault; nothing
@@ -877,9 +762,9 @@ mod tests {
             epoch_cycles: 100_000,
         };
         let plain = run(profile(), SchemeKind::silcfm(), &cfg, &params);
-        let (_, full_report) = run_traced(profile(), SchemeKind::silcfm(), &cfg, &params, &trace);
-        let (sampled, report, counters) =
-            run_sampled(profile(), SchemeKind::silcfm(), &cfg, &params, &trace, 64);
+        let full_report = run_tier(Tier::Ring, trace).obs.unwrap();
+        let out = run_tier(Tier::Sampled { period: 64 }, trace);
+        let (sampled, report, counters) = (out.result, out.obs.unwrap(), out.counters);
         // Observability must never perturb the simulation.
         assert_eq!(plain.cycles, sampled.cycles);
         assert_eq!(plain.traffic, sampled.traffic);
@@ -904,10 +789,10 @@ mod tests {
             epoch_cycles: 100_000,
         };
         let plain = run(profile(), SchemeKind::silcfm(), &cfg, &params);
-        let (traced, traced_report) =
-            run_traced(profile(), SchemeKind::silcfm(), &cfg, &params, &trace);
-        let (metrics, metrics_report) =
-            run_metrics_only(profile(), SchemeKind::silcfm(), &cfg, &params, &trace);
+        let ring = run_tier(Tier::Ring, trace);
+        let (traced, traced_report) = (ring.result, ring.obs.unwrap());
+        let out = run_tier(Tier::MetricsOnly, trace);
+        let (metrics, metrics_report) = (out.result, out.obs.unwrap());
         // The tier is behavior-neutral against both neighbors.
         assert_eq!(plain.cycles, metrics.cycles);
         assert_eq!(plain.traffic, metrics.traffic);

@@ -4,22 +4,16 @@
 //! The format is a plain text file, one line per record:
 //!
 //! * a header line, `silcfm-journal v1 grid=<hex>`, binding the journal to
-//!   one exact job grid (the digest covers every job's full configuration);
+//!   one exact job grid (the digest covers every job's full configuration
+//!   and the fault plane the grid runs under);
 //! * one `job` line per finished job, carrying the complete [`RunResult`]
 //!   in whitespace-separated fields. Floats are written as the hex of their
 //!   IEEE-754 bits, so a journal round-trip is *bit-identical* — a resumed
-//!   grid's aggregate equals the uninterrupted run's byte for byte;
-//! * optionally one `lat` line per finished job (traced grids only),
-//!   carrying the job's per-class [`LatencyBreakdown`] as sparse sketch
-//!   encodings. The sketch codec is bit-exact and sketch merges are
-//!   order-invariant, so resumed percentile reports — per job or merged
-//!   across the grid — are byte-identical to an uninterrupted run's.
+//!   grid's aggregate equals the uninterrupted run's byte for byte.
 //!
-//! Every append is flushed before the runner moves on (a `lat` line flushes
-//! together with its `job` line), so a crash loses at most the in-flight
-//! record. The reader tolerates exactly that: a torn final line is
-//! discarded, anything else malformed is an error. A `lat` line whose `job`
-//! line never landed is ignored on resume — the job simply re-runs.
+//! Every append is flushed before the runner moves on, so a crash loses at
+//! most the in-flight record. The reader tolerates exactly that: a torn
+//! final line is discarded, anything else malformed is an error.
 
 // silcfm-lint: allow-file(T1) -- the only concurrency here is the process-wide
 // intern pool below: an idempotent, leaked String -> &'static str map whose
@@ -32,23 +26,29 @@ use std::io::{BufWriter, Read as _, Write as _};
 use std::path::Path;
 use std::sync::{Mutex, OnceLock};
 
-use silcfm_obs::LatencyBreakdown;
 use silcfm_types::{FxHashMap, FxHasher, SilcFmError};
 
+use crate::experiment::FaultParams;
 use crate::metrics::{RunResult, TrafficTally};
 use crate::runner::Job;
 
-/// Digest binding a journal to one job grid. Any change to the grid — a
-/// workload, a scheme parameter, a seed — changes the digest and makes old
-/// journals unusable (resuming against a different grid would splice
-/// incompatible results).
-pub fn grid_digest(jobs: &[Job]) -> u64 {
+/// Digest binding a journal to one job grid run under `faults`. Any change
+/// to the grid — a workload, a scheme parameter, a seed, the fault plane —
+/// changes the digest and makes old journals unusable (resuming against a
+/// different grid would splice incompatible results). The tracer tier and
+/// the engine are deliberately not covered: neither changes a result, so
+/// serial and sharded runs share journals. Without faults the digest covers
+/// the jobs alone.
+pub fn grid_digest(jobs: &[Job], faults: Option<&FaultParams>) -> u64 {
     let mut h = FxHasher::default();
     jobs.len().hash(&mut h);
     for job in jobs {
         // Jobs are plain-old-data with stable `Debug` output; hashing the
         // rendering covers every field without a bespoke Hash impl over f64.
         format!("{job:?}").hash(&mut h);
+    }
+    if let Some(faults) = faults {
+        format!("{faults:?}").hash(&mut h);
     }
     h.finish()
 }
@@ -169,25 +169,6 @@ fn decode(tokens: &[&str]) -> Option<(usize, RunResult)> {
     ))
 }
 
-/// One journal line for a finished job's latency breakdown: `lat <index>`
-/// followed by the sparse per-class sketch fields.
-fn encode_lat(index: usize, lat: &LatencyBreakdown) -> String {
-    let mut line = format!("lat {index}");
-    lat.encode(&mut line);
-    line
-}
-
-/// Parses one `lat` line (sans the leading `lat` token).
-fn decode_lat(tokens: &[&str]) -> Option<(usize, LatencyBreakdown)> {
-    let mut it = tokens.iter().copied();
-    let index: usize = it.next()?.parse().ok()?;
-    let lat = LatencyBreakdown::decode(&mut it)?;
-    if it.next().is_some() {
-        return None; // trailing junk: treat as malformed
-    }
-    Some((index, lat))
-}
-
 fn header_line(digest: u64) -> String {
     format!("silcfm-journal v1 grid={digest:016x}")
 }
@@ -225,26 +206,6 @@ impl JournalWriter {
         self.out.flush()?;
         Ok(())
     }
-
-    /// Appends one finished traced job — its `lat` line immediately
-    /// followed by its `job` line — in a single flush. The `job` line seals
-    /// the record: a crash between the two leaves a `lat` orphan that
-    /// resume ignores, so the job re-runs rather than resuming half-done.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SilcFmError::Journal`] on any I/O failure.
-    pub fn append_traced(
-        &mut self,
-        index: usize,
-        result: &RunResult,
-        lat: &LatencyBreakdown,
-    ) -> Result<(), SilcFmError> {
-        writeln!(self.out, "{}", encode_lat(index, lat))?;
-        writeln!(self.out, "{}", encode(index, result))?;
-        self.out.flush()?;
-        Ok(())
-    }
 }
 
 /// Reads a journal back: validates the header against `digest`, collects
@@ -261,29 +222,6 @@ pub fn resume(
     path: &Path,
     digest: u64,
 ) -> Result<(JournalWriter, BTreeMap<usize, RunResult>), SilcFmError> {
-    let (writer, done, _) = resume_traced(path, digest)?;
-    Ok((writer, done))
-}
-
-/// What [`resume_traced`] recovers from a journal: the reopened writer,
-/// the finished jobs by index, and the per-job latency breakdowns whose
-/// sealing `job` line landed.
-pub type TracedResume = (
-    JournalWriter,
-    BTreeMap<usize, RunResult>,
-    BTreeMap<usize, LatencyBreakdown>,
-);
-
-/// [`resume`], also returning the per-job [`LatencyBreakdown`]s recorded by
-/// [`JournalWriter::append_traced`]. A `lat` line whose sealing `job` line
-/// never landed (the crash window between the two) is dropped here, so a
-/// job is "done" only when *both* of its records are intact.
-///
-/// # Errors
-///
-/// Returns [`SilcFmError::Journal`] when the file is unreadable, the header
-/// names a different grid, or an interior line is malformed.
-pub fn resume_traced(path: &Path, digest: u64) -> Result<TracedResume, SilcFmError> {
     let mut text = String::new();
     File::open(path)?.read_to_string(&mut text)?;
     // Bytes past the last newline are the in-flight record of a crash;
@@ -302,34 +240,21 @@ pub fn resume_traced(path: &Path, digest: u64) -> Result<TracedResume, SilcFmErr
         )));
     }
     let mut done = BTreeMap::new();
-    let mut lats = BTreeMap::new();
     // Track the byte offset of the last intact record so the file can be
-    // truncated back to a clean state before appending resumes. A `lat`
-    // line does not advance the offset on its own: only its sealing `job`
-    // line commits the pair, so an orphaned `lat` tail is healed away.
+    // truncated back to a clean state before appending resumes.
     let mut valid_up_to = header_end;
-    let mut offset = header_end;
     let mut rest = body[header_end..].split_inclusive('\n').peekable();
     while let Some(raw) = rest.next() {
         let line = raw.trim_end_matches('\n');
         let tokens: Vec<&str> = line.split_whitespace().collect();
-        enum Parsed {
-            Job(usize, RunResult),
-            Lat(usize, LatencyBreakdown),
-        }
         let parsed = match tokens.split_first() {
-            Some((&"job", fields)) => decode(fields).map(|(i, r)| Parsed::Job(i, r)),
-            Some((&"lat", fields)) => decode_lat(fields).map(|(i, l)| Parsed::Lat(i, l)),
+            Some((&"job", fields)) => decode(fields),
             _ => None,
         };
-        offset += raw.len();
         match parsed {
-            Some(Parsed::Job(index, result)) => {
+            Some((index, result)) => {
                 done.insert(index, result);
-                valid_up_to = offset;
-            }
-            Some(Parsed::Lat(index, lat)) => {
-                lats.insert(index, lat);
+                valid_up_to += raw.len();
             }
             // A malformed *last* line can be a crash artifact and is
             // dropped; a malformed interior line cannot, and means
@@ -342,8 +267,6 @@ pub fn resume_traced(path: &Path, digest: u64) -> Result<TracedResume, SilcFmErr
             }
         }
     }
-    // Keep only breakdowns whose job record sealed; orphans re-run.
-    lats.retain(|index, _| done.contains_key(index));
     if valid_up_to < text.len() {
         // Heal the crash damage: cut the torn/malformed tail so appended
         // records start on a fresh line.
@@ -356,7 +279,6 @@ pub fn resume_traced(path: &Path, digest: u64) -> Result<TracedResume, SilcFmErr
             out: BufWriter::new(file),
         },
         done,
-        lats,
     ))
 }
 
@@ -449,78 +371,6 @@ mod tests {
         assert_eq!(done[&1], result(600));
     }
 
-    fn breakdown(seed: u64) -> LatencyBreakdown {
-        use silcfm_types::AccessClass;
-        let mut lat = LatencyBreakdown::new();
-        for i in 0..40u64 {
-            let class = AccessClass::ALL[(i % AccessClass::COUNT as u64) as usize];
-            lat.record(class, seed + i * i);
-        }
-        lat
-    }
-
-    #[test]
-    fn traced_roundtrip_is_bit_identical() {
-        let path = tmp("traced-roundtrip.journal");
-        let mut w = JournalWriter::create(&path, 11).unwrap();
-        w.append_traced(0, &result(1000), &breakdown(3)).unwrap();
-        w.append_traced(2, &result(2000), &breakdown(900)).unwrap();
-        drop(w);
-        let (_w, done, lats) = resume_traced(&path, 11).unwrap();
-        assert_eq!(done.len(), 2);
-        assert_eq!(lats.len(), 2);
-        for (index, seed) in [(0usize, 3u64), (2, 900)] {
-            let mut want = String::new();
-            breakdown(seed).encode(&mut want);
-            let mut got = String::new();
-            lats[&index].encode(&mut got);
-            assert_eq!(got, want, "breakdown {index} must survive bit-exactly");
-        }
-    }
-
-    #[test]
-    fn orphan_lat_line_reruns_the_job() {
-        let path = tmp("orphan-lat.journal");
-        let mut w = JournalWriter::create(&path, 13).unwrap();
-        w.append_traced(0, &result(500), &breakdown(1)).unwrap();
-        drop(w);
-        // Simulate a crash in the append_traced window: the `lat` line of
-        // job 1 landed (with its newline) but the sealing `job` line did not.
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        writeln!(f, "{}", encode_lat(1, &breakdown(7))).unwrap();
-        drop(f);
-        let (mut w, done, lats) = resume_traced(&path, 13).unwrap();
-        assert_eq!(done.len(), 1, "unsealed job must re-run");
-        assert_eq!(lats.len(), 1, "orphan lat must be dropped");
-        // The orphan tail was healed away, so re-appending job 1 yields a
-        // clean two-line record, not a duplicate-lat confusion.
-        w.append_traced(1, &result(600), &breakdown(8)).unwrap();
-        drop(w);
-        let (_w, done, lats) = resume_traced(&path, 13).unwrap();
-        assert_eq!(done.len(), 2);
-        assert_eq!(done[&1], result(600));
-        let mut want = String::new();
-        breakdown(8).encode(&mut want);
-        let mut got = String::new();
-        lats[&1].encode(&mut got);
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn plain_resume_tolerates_traced_records() {
-        // A grid journaled by the traced runner can be resumed by the plain
-        // one (the breakdowns are simply ignored) — the formats interleave.
-        let path = tmp("mixed.journal");
-        let mut w = JournalWriter::create(&path, 17).unwrap();
-        w.append_traced(0, &result(100), &breakdown(2)).unwrap();
-        w.append(1, &result(200)).unwrap();
-        drop(w);
-        let (_w, done) = resume(&path, 17).unwrap();
-        assert_eq!(done.len(), 2);
-        assert_eq!(done[&0], result(100));
-        assert_eq!(done[&1], result(200));
-    }
-
     #[test]
     fn grid_mismatch_is_rejected() {
         let path = tmp("mismatch.journal");
@@ -556,9 +406,9 @@ mod tests {
         };
         let mut other = job;
         other.params.seed ^= 1;
-        assert_ne!(grid_digest(&[job]), grid_digest(&[job, job]));
-        assert_ne!(grid_digest(&[job]), grid_digest(&[other]));
-        assert_eq!(grid_digest(&[job]), grid_digest(&[job]));
+        assert_ne!(grid_digest(&[job], None), grid_digest(&[job, job], None));
+        assert_ne!(grid_digest(&[job], None), grid_digest(&[other], None));
+        assert_eq!(grid_digest(&[job], None), grid_digest(&[job], None));
     }
 
     #[test]

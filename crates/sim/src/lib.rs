@@ -33,17 +33,13 @@ pub mod shard;
 pub mod system;
 
 pub use experiment::{
-    run, run_faulted, run_faulted_traced, run_metrics_only, run_sampled, run_sampled_lean,
-    run_sharded, run_sharded_faulted, run_sharded_traced, run_traced, FaultParams, RunParams,
-    SchemeKind, TraceParams,
+    run, run_sharded, run_spec, Engine, FaultParams, RunOutput, RunParams, RunSpec, SchemeKind,
+    Tier, TraceParams,
 };
 pub use metrics::{RunResult, TrafficTally};
 pub use observe::RunObs;
 pub use report::{format_table, Row};
-pub use runner::{
-    run_grid, run_grid_journaled, run_grid_journaled_sharded, run_grid_serial, run_grid_sharded,
-    run_grid_traced, run_grid_traced_journaled, ExperimentGrid, Job,
-};
+pub use runner::{run_grid, run_grid_journaled, run_grid_serial, ExperimentGrid, Job};
 pub use shard::{
     run_system_sharded, run_system_sharded_tapped, LaneSource, RecordStream, ShardParams,
     ShardReport,

@@ -18,7 +18,7 @@
 //!
 //! ```
 //! use silcfm_sim::runner::{ExperimentGrid, run_grid, run_grid_serial};
-//! use silcfm_sim::{RunParams, SchemeKind};
+//! use silcfm_sim::{RunParams, RunSpec, SchemeKind};
 //! use silcfm_trace::profiles;
 //! use silcfm_types::SystemConfig;
 //!
@@ -27,15 +27,15 @@
 //!     .scheme(SchemeKind::NoNm)
 //!     .scheme(SchemeKind::silcfm());
 //! let jobs = grid.jobs();
-//! let parallel = run_grid(&jobs, 2);
+//! let parallel = run_grid(&jobs, &RunSpec::default(), 2).unwrap();
 //! let serial = run_grid_serial(&jobs);
 //! for (p, s) in parallel.iter().zip(&serial) {
-//!     assert_eq!(p.cycles, s.cycles);
-//!     assert_eq!(p.traffic, s.traffic);
+//!     assert_eq!(p.result.cycles, s.cycles);
+//!     assert_eq!(p.result.traffic, s.traffic);
 //! }
 //! ```
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::path::Path;
 use std::sync::mpsc;
 use std::sync::Mutex;
@@ -44,12 +44,9 @@ use silcfm_trace::profiles::WorkloadProfile;
 use silcfm_types::rng::SplitMix64;
 use silcfm_types::{SilcFmError, SystemConfig};
 
-use silcfm_obs::{LatencyBreakdown, ObsReport};
-
-use crate::experiment::{run, run_sharded, run_traced, RunParams, SchemeKind, TraceParams};
+use crate::experiment::{run, run_spec, RunOutput, RunParams, RunSpec, SchemeKind};
 use crate::journal;
 use crate::metrics::RunResult;
-use crate::shard::ShardParams;
 
 /// One self-contained simulation: everything [`run`] needs, by value, so the
 /// job can execute on any worker in any order.
@@ -71,14 +68,6 @@ impl Job {
     /// outputs comparable bit for bit.
     pub fn execute(&self) -> RunResult {
         run(&self.profile, self.scheme, &self.cfg, &self.params)
-    }
-
-    /// Executes the job on the sharded runner: `shard.threads` threads
-    /// *inside* this one simulation (DESIGN.md §11). The result is
-    /// bit-identical to [`Job::execute`] at any thread count, so sharded
-    /// and serial grids — and their journals — interoperate freely.
-    pub fn execute_sharded(&self, shard: &ShardParams) -> RunResult {
-        run_sharded(&self.profile, self.scheme, &self.cfg, &self.params, shard).0
     }
 }
 
@@ -184,45 +173,39 @@ pub fn default_threads() -> usize {
         })
 }
 
-/// Runs `jobs` serially in order. The reference implementation the parallel
-/// engine is checked against.
+/// Runs `jobs` serially in order, untraced and fault-free. The reference
+/// implementation the other engines are checked against.
 pub fn run_grid_serial(jobs: &[Job]) -> Vec<RunResult> {
     jobs.iter().map(Job::execute).collect()
 }
 
-/// The work-stealing core shared by [`run_grid`] and [`run_grid_traced`]:
-/// runs `execute` over every job across `threads` workers and reassembles
-/// the outputs in job order.
+/// The work-stealing scheduler behind [`run_grid`] and
+/// [`run_grid_journaled`]: runs `execute` on every job index in `todo`
+/// across `threads` workers and hands each output to `sink` on the calling
+/// thread the moment its worker reports it (completion order).
 ///
-/// Jobs are dealt round-robin into per-worker deques. Each worker drains its
-/// own deque from the front and, when empty, steals from the *back* of the
-/// busiest sibling — the classic split that keeps owner and thief off the
-/// same end. Long-running jobs (full SILC-FM sweeps take ~10× the no-NM
+/// Indices are dealt round-robin into per-worker deques. Each worker drains
+/// its own deque from the front and, when empty, steals from the *back* of
+/// the busiest sibling — the classic split that keeps owner and thief off
+/// the same end. Long-running jobs (full SILC-FM sweeps take ~10× the no-NM
 /// baseline) therefore cannot serialize the tail of the grid behind one
-/// unlucky worker.
-///
-/// Outputs are tagged with the job index and reassembled in order, so the
-/// result is bit-identical to a serial loop regardless of thread count,
-/// scheduling, or steal pattern.
-fn run_grid_with<R, F>(jobs: &[Job], threads: usize, execute: F) -> Vec<R>
+/// unlucky worker. Callers tag outputs with their index, so what they
+/// assemble is independent of thread count, scheduling, and steal pattern.
+fn schedule<R, F>(todo: &[usize], threads: usize, execute: F, mut sink: impl FnMut(usize, R))
 where
     R: Send,
-    F: Fn(&Job) -> R + Sync,
+    F: Fn(usize) -> R + Sync,
 {
-    let threads = threads.max(1).min(jobs.len().max(1));
-    if threads <= 1 || jobs.len() <= 1 {
-        return jobs.iter().map(execute).collect();
+    let threads = threads.max(1).min(todo.len().max(1));
+    if threads <= 1 || todo.len() <= 1 {
+        for &i in todo {
+            sink(i, execute(i));
+        }
+        return;
     }
 
-    // Round-robin deal into per-worker deques.
     let queues: Vec<Mutex<VecDeque<usize>>> = (0..threads)
-        .map(|w| {
-            Mutex::new(
-                (w..jobs.len())
-                    .step_by(threads)
-                    .collect::<VecDeque<usize>>(),
-            )
-        })
+        .map(|w| Mutex::new(todo.iter().skip(w).step_by(threads).copied().collect()))
         .collect();
     let queues = &queues;
     let execute = &execute;
@@ -231,59 +214,76 @@ where
     std::thread::scope(|scope| {
         for me in 0..threads {
             let tx = tx.clone();
-            scope.spawn(move || {
-                loop {
-                    // Own work first (front), then steal (back).
-                    let next = queues[me].lock().unwrap().pop_front().or_else(|| {
-                        (0..queues.len())
-                            .filter(|&w| w != me)
-                            .max_by_key(|&w| queues[w].lock().unwrap().len())
-                            .and_then(|w| queues[w].lock().unwrap().pop_back())
-                    });
-                    let Some(idx) = next else { break };
-                    let result = execute(&jobs[idx]);
-                    if tx.send((idx, result)).is_err() {
-                        break;
-                    }
+            scope.spawn(move || loop {
+                // Own work first (front), then steal (back).
+                let next = queues[me].lock().unwrap().pop_front().or_else(|| {
+                    (0..queues.len())
+                        .filter(|&w| w != me)
+                        .max_by_key(|&w| queues[w].lock().unwrap().len())
+                        .and_then(|w| queues[w].lock().unwrap().pop_back())
+                });
+                let Some(idx) = next else { break };
+                if tx.send((idx, execute(idx))).is_err() {
+                    break;
                 }
             });
         }
         drop(tx);
+        // Drain inside the scope, so a journaling sink records each job as
+        // its worker finishes — a kill at any moment loses at most the jobs
+        // still in flight.
+        for (idx, output) in rx {
+            sink(idx, output);
+        }
     });
+}
 
-    let mut slots: Vec<Option<R>> = Vec::new();
+/// Runs `job` the way `spec` says ([`run_spec`]).
+fn run_job(job: &Job, spec: &RunSpec) -> Result<RunOutput, SilcFmError> {
+    run_spec(&job.profile, job.scheme, &job.cfg, &job.params, spec)
+}
+
+/// Runs `jobs` the way `spec` says across `threads` work-stealing workers
+/// and returns the outputs in job order. Each job's tracers are its own, so
+/// results, reports and their exports are bit-identical to a serial loop
+/// over [`run_spec`] at any thread count.
+///
+/// # Errors
+///
+/// Returns the first failing job's error, in job order
+/// ([`SilcFmError::FaultConfig`] when `spec.faults` is invalid).
+pub fn run_grid(
+    jobs: &[Job],
+    spec: &RunSpec,
+    threads: usize,
+) -> Result<Vec<RunOutput>, SilcFmError> {
+    let todo: Vec<usize> = (0..jobs.len()).collect();
+    let mut slots: Vec<Option<Result<RunOutput, SilcFmError>>> = Vec::new();
     slots.resize_with(jobs.len(), || None);
-    for (idx, result) in rx {
-        slots[idx] = Some(result);
-    }
+    schedule(
+        &todo,
+        threads,
+        |i| run_job(&jobs[i], spec),
+        |i, output| slots[i] = Some(output),
+    );
     slots
         .into_iter()
         .map(|r| r.expect("every job produces exactly one result"))
         .collect()
 }
 
-/// Runs `jobs` across `threads` workers with work stealing and returns the
-/// results in job order, bit-identical to [`run_grid_serial`]; see
-/// [`run_grid_with`] for the scheduling details.
-pub fn run_grid(jobs: &[Job], threads: usize) -> Vec<RunResult> {
-    run_grid_with(jobs, threads, Job::execute)
-}
-
-/// Runs `jobs` one at a time in grid order, with each simulation itself
-/// sharded across `shard.threads` threads. This is the shape a *single
-/// large run* wants — all threads inside the run rather than across runs —
-/// and it returns results bit-identical to [`run_grid_serial`].
-pub fn run_grid_sharded(jobs: &[Job], shard: &ShardParams) -> Vec<RunResult> {
-    jobs.iter().map(|j| j.execute_sharded(shard)).collect()
-}
-
-/// Runs `jobs` with a crash-safe journal at `path`: every finished job is
-/// appended (and flushed) the moment its worker reports it, and with
-/// `resume == true` an existing journal's completed jobs are loaded instead
-/// of re-run. Results come back in job order and — because each job is
-/// hermetic and the journal stores full bit-exact records — the aggregate
-/// is identical whether the grid ran uninterrupted, was killed and resumed,
-/// or was resumed with nothing left to do.
+/// Runs `jobs` the way `spec` says with a crash-safe journal at `path`:
+/// every finished job is appended (and flushed) the moment its worker
+/// reports it, and with `resume == true` an existing journal's completed
+/// jobs are loaded instead of re-run. Results come back in job order and —
+/// because each job is hermetic and the journal stores full bit-exact
+/// records — the aggregate is identical whether the grid ran uninterrupted,
+/// was killed and resumed, or was resumed with nothing left to do.
+///
+/// The journal is bound to the jobs and `spec.faults` (see
+/// [`journal::grid_digest`]) but not to the tier or engine, which never
+/// change a result: a grid journaled serially can be resumed sharded and
+/// vice versa.
 ///
 /// `on_done(index, result)` fires once per *newly executed* job, in
 /// completion order (not job order), for progress reporting and
@@ -292,134 +292,26 @@ pub fn run_grid_sharded(jobs: &[Job], shard: &ShardParams) -> Vec<RunResult> {
 /// # Errors
 ///
 /// Returns [`SilcFmError::Journal`] when the journal cannot be written, is
-/// corrupt, or belongs to a different grid.
+/// corrupt, or belongs to a different grid, and a job's own error when it
+/// fails to run.
 pub fn run_grid_journaled(
     jobs: &[Job],
+    spec: &RunSpec,
     threads: usize,
     path: &Path,
     resume: bool,
-    on_done: impl FnMut(usize, &RunResult),
+    mut on_done: impl FnMut(usize, &RunResult),
 ) -> Result<Vec<RunResult>, SilcFmError> {
-    run_grid_journaled_with(jobs, threads, path, resume, on_done, Job::execute)
-}
-
-/// Runs a *traced* grid with a crash-safe journal: each finished job
-/// appends its latency breakdown (`lat` line) and its result (`job` line)
-/// in one flush, and a resume returns journaled jobs' `(result, breakdown)`
-/// pairs without re-running them. The sketch codec is bit-exact and sketch
-/// merges are order-invariant, so percentile reports built from the
-/// returned breakdowns — per job or merged across the grid — are
-/// byte-identical whether the grid ran uninterrupted or was killed and
-/// resumed (the property the journal tests pin).
-///
-/// Only the percentile plane survives the journal round-trip; event buffers
-/// and epoch series belong to live [`ObsReport`]s and are not journaled.
-///
-/// # Errors
-///
-/// Returns [`SilcFmError::Journal`] when the journal cannot be written, is
-/// corrupt, or belongs to a different grid.
-pub fn run_grid_traced_journaled(
-    jobs: &[Job],
-    trace: &TraceParams,
-    threads: usize,
-    path: &Path,
-    resume: bool,
-    on_done: impl FnMut(usize, &(RunResult, LatencyBreakdown)),
-) -> Result<Vec<(RunResult, LatencyBreakdown)>, SilcFmError> {
-    let digest = journal::grid_digest(jobs);
-    let (writer, done) = if resume && path.exists() {
-        let (writer, results, mut lats) = journal::resume_traced(path, digest)?;
-        let done: std::collections::BTreeMap<usize, (RunResult, LatencyBreakdown)> = results
-            .into_iter()
-            .filter_map(|(i, r)| lats.remove(&i).map(|l| (i, (r, l))))
-            .collect();
-        (writer, done)
-    } else {
-        (
-            journal::JournalWriter::create(path, digest)?,
-            std::collections::BTreeMap::new(),
-        )
-    };
-    run_grid_journaled_core(
-        jobs,
-        threads,
-        writer,
-        done,
-        on_done,
-        |job| {
-            let (result, report) =
-                run_traced(&job.profile, job.scheme, &job.cfg, &job.params, trace);
-            (result, report.latency)
-        },
-        |w, i, (result, lat)| w.append_traced(i, result, lat),
-    )
-}
-
-/// [`run_grid_journaled`] with every job executed on the sharded runner
-/// (`shard.threads` threads inside each simulation). Because sharded
-/// results are bit-identical to serial ones, the journal format and grid
-/// digest are shared: a grid journaled serially can be resumed sharded and
-/// vice versa, and the aggregate never changes.
-pub fn run_grid_journaled_sharded(
-    jobs: &[Job],
-    threads: usize,
-    path: &Path,
-    resume: bool,
-    shard: &ShardParams,
-    on_done: impl FnMut(usize, &RunResult),
-) -> Result<Vec<RunResult>, SilcFmError> {
-    run_grid_journaled_with(jobs, threads, path, resume, on_done, |job: &Job| {
-        job.execute_sharded(shard)
-    })
-}
-
-/// The crash-safe core behind [`run_grid_journaled`] and
-/// [`run_grid_journaled_sharded`], generic over how one job executes.
-fn run_grid_journaled_with<F>(
-    jobs: &[Job],
-    threads: usize,
-    path: &Path,
-    resume: bool,
-    on_done: impl FnMut(usize, &RunResult),
-    execute: F,
-) -> Result<Vec<RunResult>, SilcFmError>
-where
-    F: Fn(&Job) -> RunResult + Sync,
-{
-    let digest = journal::grid_digest(jobs);
-    let (writer, done) = if resume && path.exists() {
+    let digest = journal::grid_digest(jobs, spec.faults.as_ref());
+    let (mut writer, done) = if resume && path.exists() {
         journal::resume(path, digest)?
     } else {
         (
             journal::JournalWriter::create(path, digest)?,
-            std::collections::BTreeMap::new(),
+            BTreeMap::new(),
         )
     };
-    run_grid_journaled_core(jobs, threads, writer, done, on_done, execute, |w, i, r| {
-        w.append(i, r)
-    })
-}
-
-/// The scheduling/journaling engine shared by the plain and traced
-/// journaled grids, generic over the per-job record `R`: executes missing
-/// jobs with deal/steal workers, appends each record through `append` the
-/// moment its worker reports it, and reassembles everything in job order.
-fn run_grid_journaled_core<R, F>(
-    jobs: &[Job],
-    threads: usize,
-    mut writer: journal::JournalWriter,
-    done: std::collections::BTreeMap<usize, R>,
-    mut on_done: impl FnMut(usize, &R),
-    execute: F,
-    append: impl Fn(&mut journal::JournalWriter, usize, &R) -> Result<(), SilcFmError>,
-) -> Result<Vec<R>, SilcFmError>
-where
-    R: Send,
-    F: Fn(&Job) -> R + Sync,
-{
-    let mut slots: Vec<Option<R>> = Vec::new();
-    slots.resize_with(jobs.len(), || None);
+    let mut slots: Vec<Option<RunResult>> = vec![None; jobs.len()];
     for (index, result) in done {
         if let Some(slot) = slots.get_mut(index) {
             *slot = Some(result);
@@ -429,69 +321,29 @@ where
     }
     let todo: Vec<usize> = (0..jobs.len()).filter(|&i| slots[i].is_none()).collect();
 
-    let threads = threads.max(1).min(todo.len().max(1));
-    if threads <= 1 || todo.len() <= 1 {
-        for &i in &todo {
-            let result = execute(&jobs[i]);
-            append(&mut writer, i, &result)?;
-            on_done(i, &result);
-            slots[i] = Some(result);
-        }
-    } else {
-        // Same deal/steal scheduling as `run_grid_with`, but the receiver
-        // drains *inside* the scope so records hit the journal as workers
-        // finish, not after the whole grid completes — a kill at any moment
-        // loses at most the jobs still in flight.
-        let queues: Vec<Mutex<VecDeque<usize>>> = (0..threads)
-            .map(|w| {
-                Mutex::new(
-                    (w..todo.len())
-                        .step_by(threads)
-                        .map(|k| todo[k])
-                        .collect::<VecDeque<usize>>(),
-                )
-            })
-            .collect();
-        let queues = &queues;
-        let execute = &execute;
-
-        let (tx, rx) = mpsc::channel::<(usize, R)>();
-        let mut append_error = None;
-        std::thread::scope(|scope| {
-            for me in 0..threads {
-                let tx = tx.clone();
-                scope.spawn(move || loop {
-                    let next = queues[me].lock().unwrap().pop_front().or_else(|| {
-                        (0..queues.len())
-                            .filter(|&w| w != me)
-                            .max_by_key(|&w| queues[w].lock().unwrap().len())
-                            .and_then(|w| queues[w].lock().unwrap().pop_back())
-                    });
-                    let Some(idx) = next else { break };
-                    let result = execute(&jobs[idx]);
-                    if tx.send((idx, result)).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-            for (idx, result) in rx {
-                if append_error.is_none() {
-                    if let Err(e) = append(&mut writer, idx, &result) {
-                        append_error = Some(e);
+    let mut failure = None;
+    schedule(
+        &todo,
+        threads,
+        |i| run_job(&jobs[i], spec).map(|out| out.result),
+        |i, output| match output {
+            Ok(result) => {
+                if failure.is_none() {
+                    if let Err(e) = writer.append(i, &result) {
+                        failure = Some(e);
                     }
                 }
-                on_done(idx, &result);
-                if let Some(slot) = slots.get_mut(idx) {
-                    *slot = Some(result);
-                }
+                on_done(i, &result);
+                slots[i] = Some(result);
             }
-        });
-        if let Some(e) = append_error {
-            return Err(e);
-        }
+            Err(e) => {
+                failure.get_or_insert(e);
+            }
+        },
+    );
+    if let Some(e) = failure {
+        return Err(e);
     }
-
     slots
         .into_iter()
         .enumerate()
@@ -499,25 +351,27 @@ where
         .collect()
 }
 
-/// Runs `jobs` with full observability (see
-/// [`run_traced`](crate::experiment::run_traced)) across `threads` workers.
-/// Results and reports come back in job order — each job's tracers are its
-/// own, so the traces (and their exports) are byte-identical to a serial
-/// `run_traced` loop at any thread count.
-pub fn run_grid_traced(
-    jobs: &[Job],
-    trace: &TraceParams,
-    threads: usize,
-) -> Vec<(RunResult, ObsReport)> {
-    run_grid_with(jobs, threads, |job| {
-        run_traced(&job.profile, job.scheme, &job.cfg, &job.params, trace)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::{Engine, FaultParams, Tier, TraceParams};
+    use crate::shard::ShardParams;
+    use silcfm_fault::FaultRates;
     use silcfm_trace::profiles;
+
+    const PLAIN: RunSpec = RunSpec {
+        tier: Tier::Off,
+        trace: TraceParams::default_capture(),
+        faults: None,
+        engine: Engine::Serial,
+    };
+
+    fn sharded(threads: usize) -> RunSpec {
+        RunSpec {
+            engine: Engine::Sharded(ShardParams::with_threads(threads)),
+            ..PLAIN
+        }
+    }
 
     fn small_grid() -> Vec<Job> {
         ExperimentGrid::new(SystemConfig::small(), RunParams::smoke())
@@ -566,9 +420,9 @@ mod tests {
         let jobs = small_grid();
         let serial = run_grid_serial(&jobs);
         for threads in [2, 3, 8] {
-            let parallel = run_grid(&jobs, threads);
+            let parallel = run_grid(&jobs, &PLAIN, threads).unwrap();
             assert_eq!(parallel.len(), serial.len());
-            for (p, s) in parallel.iter().zip(&serial) {
+            for (p, s) in parallel.iter().map(|o| &o.result).zip(&serial) {
                 assert_eq!(p.cycles, s.cycles, "{}/{}", s.workload, s.scheme);
                 assert_eq!(p.traffic, s.traffic);
                 assert_eq!(p.scheme_stats, s.scheme_stats);
@@ -580,9 +434,9 @@ mod tests {
     #[test]
     fn degenerate_pools_still_work() {
         let jobs = &small_grid()[..1];
-        assert_eq!(run_grid(jobs, 1).len(), 1);
-        assert_eq!(run_grid(jobs, 16).len(), 1);
-        assert!(run_grid(&[], 4).is_empty());
+        assert_eq!(run_grid(jobs, &PLAIN, 1).unwrap().len(), 1);
+        assert_eq!(run_grid(jobs, &PLAIN, 16).unwrap().len(), 1);
+        assert!(run_grid(&[], &PLAIN, 4).unwrap().is_empty());
     }
 
     #[test]
@@ -604,12 +458,12 @@ mod tests {
         let jobs = small_grid();
         let path = tmp("full.journal");
         let serial = run_grid_serial(&jobs);
-        let journaled = run_grid_journaled(&jobs, 3, &path, false, |_, _| {}).unwrap();
+        let journaled = run_grid_journaled(&jobs, &PLAIN, 3, &path, false, |_, _| {}).unwrap();
         assert_eq!(serial, journaled);
         // A resume with everything already done re-runs nothing and still
         // returns the identical aggregate.
         let mut reran = 0;
-        let resumed = run_grid_journaled(&jobs, 3, &path, true, |_, _| reran += 1).unwrap();
+        let resumed = run_grid_journaled(&jobs, &PLAIN, 3, &path, true, |_, _| reran += 1).unwrap();
         assert_eq!(reran, 0);
         assert_eq!(serial, resumed);
     }
@@ -621,7 +475,7 @@ mod tests {
         let serial = run_grid_serial(&jobs);
 
         // Simulate a run killed after three jobs: journal only a prefix.
-        let digest = journal::grid_digest(&jobs);
+        let digest = journal::grid_digest(&jobs, None);
         let mut w = journal::JournalWriter::create(&path, digest).unwrap();
         for (i, r) in serial.iter().enumerate().take(3) {
             w.append(i, r).unwrap();
@@ -629,7 +483,8 @@ mod tests {
         drop(w);
 
         let mut executed = Vec::new();
-        let resumed = run_grid_journaled(&jobs, 2, &path, true, |i, _| executed.push(i)).unwrap();
+        let resumed =
+            run_grid_journaled(&jobs, &PLAIN, 2, &path, true, |i, _| executed.push(i)).unwrap();
         executed.sort_unstable();
         assert_eq!(executed, vec![3, 4, 5], "only the missing jobs run");
         assert_eq!(serial, resumed, "resumed aggregate is bit-identical");
@@ -639,7 +494,11 @@ mod tests {
     fn sharded_grid_matches_serial_bit_for_bit() {
         let jobs = small_grid();
         let serial = run_grid_serial(&jobs);
-        let sharded = run_grid_sharded(&jobs, &ShardParams::with_threads(2));
+        let sharded: Vec<RunResult> = run_grid(&jobs, &sharded(2), 1)
+            .unwrap()
+            .into_iter()
+            .map(|o| o.result)
+            .collect();
         assert_eq!(serial, sharded);
     }
 
@@ -650,16 +509,15 @@ mod tests {
 
         // Serial prefix, sharded resume.
         let path = tmp("crossmode.journal");
-        let digest = journal::grid_digest(&jobs);
+        let digest = journal::grid_digest(&jobs, None);
         let mut w = journal::JournalWriter::create(&path, digest).unwrap();
         for (i, r) in serial.iter().enumerate().take(2) {
             w.append(i, r).unwrap();
         }
         drop(w);
-        let shard = ShardParams::with_threads(3);
         let mut executed = Vec::new();
         let resumed =
-            run_grid_journaled_sharded(&jobs, 1, &path, true, &shard, |i, _| executed.push(i))
+            run_grid_journaled(&jobs, &sharded(3), 1, &path, true, |i, _| executed.push(i))
                 .unwrap();
         executed.sort_unstable();
         assert_eq!(executed, vec![2, 3, 4, 5]);
@@ -668,18 +526,10 @@ mod tests {
         // Sharded prefix, serial resume: the journal carries no trace of
         // which mode wrote it, because the records are bit-identical.
         let path = tmp("crossmode-back.journal");
-        let _ = run_grid_journaled_sharded(
-            &jobs[..3],
-            1,
-            &path,
-            false,
-            &ShardParams::with_threads(2),
-            |_, _| {},
-        )
-        .unwrap();
+        let _ = run_grid_journaled(&jobs[..3], &sharded(2), 1, &path, false, |_, _| {}).unwrap();
         let first = std::fs::read_to_string(&path).unwrap();
         let path2 = tmp("crossmode-serial.journal");
-        let _ = run_grid_journaled(&jobs[..3], 1, &path2, false, |_, _| {}).unwrap();
+        let _ = run_grid_journaled(&jobs[..3], &PLAIN, 1, &path2, false, |_, _| {}).unwrap();
         let second = std::fs::read_to_string(&path2).unwrap();
         assert_eq!(first, second, "journal bytes are mode-invariant");
     }
@@ -688,62 +538,32 @@ mod tests {
     fn journal_from_a_different_grid_is_refused() {
         let jobs = small_grid();
         let path = tmp("foreign.journal");
-        let _ = run_grid_journaled(&jobs[..2], 1, &path, false, |_, _| {}).unwrap();
-        let err = run_grid_journaled(&jobs, 2, &path, true, |_, _| {}).unwrap_err();
+        let _ = run_grid_journaled(&jobs[..2], &PLAIN, 1, &path, false, |_, _| {}).unwrap();
+        let err = run_grid_journaled(&jobs, &PLAIN, 2, &path, true, |_, _| {}).unwrap_err();
         assert!(err.to_string().contains("different grid"), "{err}");
     }
 
-    /// Breakdowns as comparable bytes: the sketch codec is bit-exact, so
-    /// string equality *is* distribution equality.
-    fn encode_all(pairs: &[(RunResult, silcfm_obs::LatencyBreakdown)]) -> Vec<String> {
-        pairs
-            .iter()
-            .map(|(_, lat)| {
-                let mut s = String::new();
-                lat.encode(&mut s);
-                s
-            })
-            .collect()
-    }
-
     #[test]
-    fn traced_journal_resumes_byte_identically() {
-        let jobs = small_grid();
-        let trace = crate::experiment::TraceParams::default();
-        let path = tmp("traced.journal");
-        // One thread keeps journal lines in job order, which the crash
-        // surgery below relies on; the resumes exercise the pool.
-        let full = run_grid_traced_journaled(&jobs, &trace, 1, &path, false, |_, _| {}).unwrap();
-        let results: Vec<&RunResult> = full.iter().map(|(r, _)| r).collect();
-        let serial = run_grid_serial(&jobs);
-        assert_eq!(serial.iter().collect::<Vec<_>>(), results);
-
-        // Resume with everything sealed: nothing re-runs, and every
-        // breakdown comes back byte-identical from the journal.
+    fn journal_from_a_different_fault_plane_is_refused() {
+        let jobs = &small_grid()[..2];
+        let faulted = |fault_seed| RunSpec {
+            faults: Some(FaultParams {
+                fault_seed,
+                horizon_cycles: 1_000_000,
+                rates: FaultRates::gentle(),
+            }),
+            ..PLAIN
+        };
+        let path = tmp("fault-seed.journal");
+        let _ = run_grid_journaled(jobs, &faulted(1), 1, &path, false, |_, _| {}).unwrap();
+        // Same seed resumes cleanly; a different seed (or no faults at all)
+        // would splice incompatible results and is refused.
         let mut reran = 0;
-        let resumed =
-            run_grid_traced_journaled(&jobs, &trace, 2, &path, true, |_, _| reran += 1).unwrap();
+        let _ = run_grid_journaled(jobs, &faulted(1), 1, &path, true, |_, _| reran += 1).unwrap();
         assert_eq!(reran, 0);
-        assert_eq!(encode_all(&full), encode_all(&resumed));
-
-        // Kill mid-grid: keep the header, job 0's sealed two-line record,
-        // and job 1's `lat` line *without* its sealing `job` line — exactly
-        // the crash window inside `append_traced`. The orphan's job re-runs
-        // and the final percentile plane is still byte-identical.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let keep: String = text.lines().take(4).map(|l| format!("{l}\n")).collect();
-        assert!(
-            keep.lines().nth(3).is_some_and(|l| l.starts_with("lat 1 ")),
-            "test premise: line 3 is job 1's lat record"
-        );
-        let partial = tmp("traced-partial.journal");
-        std::fs::write(&partial, keep).unwrap();
-        let mut executed = Vec::new();
-        let resumed =
-            run_grid_traced_journaled(&jobs, &trace, 1, &partial, true, |i, _| executed.push(i))
-                .unwrap();
-        executed.sort_unstable();
-        assert_eq!(executed, vec![1, 2, 3, 4, 5], "orphaned job 1 re-runs");
-        assert_eq!(encode_all(&full), encode_all(&resumed));
+        for other in [faulted(2), PLAIN] {
+            let err = run_grid_journaled(jobs, &other, 1, &path, true, |_, _| {}).unwrap_err();
+            assert!(err.to_string().contains("different grid"), "{err}");
+        }
     }
 }

@@ -18,7 +18,7 @@
 //!   round-robin, the same rule the PR-1 pool uses for grid jobs) and
 //!   pre-generate each lane's records in fixed-size *epoch chunks*, with a
 //!   bounded lookahead per lane;
-//! * **one consumer** — the unmodified [`System::run_with_feed`] loop pulls
+//! * **one consumer** — the unmodified [`System::run_with_feed_tapped`] loop pulls
 //!   records from the per-lane chunk queues in the scheduler's order and
 //!   commits all shared-state effects serially, exactly as the serial path
 //!   does.

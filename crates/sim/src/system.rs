@@ -86,7 +86,7 @@ impl Lane {
 /// A per-lane source of trace records: the contract between the run loop
 /// and whatever generates the workload stream.
 ///
-/// [`System::run_with_feed`] pulls every record through this interface in
+/// [`System::run_with_feed_tapped`] pulls every record through this interface in
 /// the scheduler's (timing-driven) order; each lane's sub-stream must come
 /// back in generation order. The serial path wires lanes straight to their
 /// generators; the sharded path ([`crate::shard`]) feeds pre-generated
@@ -355,6 +355,9 @@ impl<T: Tracer> System<T> {
     /// # Panics
     ///
     /// Panics if the combined footprint exceeds the physical address space.
+    // Kept out of line: inlined into its one caller (`run_spec`, which holds
+    // every tier's setup) the serial run loop measured a few percent slower.
+    #[inline(never)]
     pub fn run(
         &mut self,
         profile: &WorkloadProfile,
@@ -362,28 +365,18 @@ impl<T: Tracer> System<T> {
         seed: u64,
     ) -> SystemOutcome {
         let mut feed = GenFeed::new(profile, self.core_count(), seed);
-        self.run_with_feed(&mut feed, accesses_per_core)
+        self.run_with_feed_tapped(&mut feed, accesses_per_core, &mut NullTap)
     }
 
-    /// The run loop behind [`System::run`], generic over where the workload
-    /// records come from. Every path into the simulator — serial, traced,
-    /// faulted, sharded — executes this exact loop; feeds differ only in
-    /// how lane sub-streams are produced, never in what reaches the shared
-    /// machine state (caches, page pool, scheme, DRAM), so results are a
-    /// pure function of the record streams.
-    pub fn run_with_feed<F: RecordFeed>(
-        &mut self,
-        feed: &mut F,
-        accesses_per_core: u64,
-    ) -> SystemOutcome {
-        self.run_with_feed_tapped(feed, accesses_per_core, &mut NullTap)
-    }
-
-    /// [`System::run_with_feed`] with a [`ServiceTap`] observing every
-    /// serviced record. This *is* the run loop — the untapped spelling
-    /// delegates here with [`NullTap`], whose disabled hooks compile out,
-    /// so tapped and untapped runs execute the same machine code over the
-    /// same state and remain bit-identical.
+    /// The run loop, generic over where the workload records come from and
+    /// with a [`ServiceTap`] observing every serviced record. Every path
+    /// into the simulator — serial, traced, faulted, sharded, served —
+    /// executes this exact loop; feeds differ only in how lane sub-streams
+    /// are produced, never in what reaches the shared machine state
+    /// (caches, page pool, scheme, DRAM), so results are a pure function of
+    /// the record streams. Untapped callers pass [`NullTap`], whose
+    /// disabled hooks compile out, so tapped and untapped runs execute the
+    /// same machine code over the same state and remain bit-identical.
     pub fn run_with_feed_tapped<F: RecordFeed, S: ServiceTap>(
         &mut self,
         feed: &mut F,

@@ -12,10 +12,7 @@
 //! * [`scheme`] — the [`MemoryScheme`] trait implemented by SILC-FM and all
 //!   baselines;
 //! * [`oplist`] — the inline-capacity [`OpList`] that keeps outcome
-//!   assembly off the heap on the access hot path, and the [`OpSink`]
-//!   abstraction over op destinations;
-//! * [`batch`] — the flat [`BatchOutcome`] storage behind
-//!   [`MemoryScheme::access_batch`];
+//!   assembly off the heap on the access hot path;
 //! * [`hash`] — the in-tree multiply-xor [`FxHasher`] used by every hot
 //!   `HashMap` (page translation, baseline bookkeeping);
 //! * [`config`] — the Table II system configuration;
@@ -50,7 +47,6 @@
 
 pub mod access;
 pub mod addr;
-pub mod batch;
 pub mod check;
 pub mod config;
 pub mod error;
@@ -68,7 +64,6 @@ pub mod stats;
 
 pub use access::{Access, CoreId};
 pub use addr::{BlockIndex, PhysAddr, SubblockIndex, VirtAddr};
-pub use batch::{BatchOutcome, BatchView};
 pub use config::{CacheParams, CoreParams, SystemConfig};
 pub use error::SilcFmError;
 pub use fault::{ChannelFault, EccOutcome, FaultEffect, FaultKind, ScheduledFault, SchemeFault};
@@ -77,6 +72,6 @@ pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use layout::AddressSpace;
 pub use mem::{MemKind, MemOp, OpKind, TrafficClass};
 pub use obs::{Event, FaultClass, NullTracer, RowKind, TraceEvent, Tracer};
-pub use oplist::{OpList, OpSink};
+pub use oplist::OpList;
 pub use record::TraceRecord;
 pub use scheme::{AccessClass, AccessFlags, MemoryScheme, SchemeOutcome, SchemeStats};

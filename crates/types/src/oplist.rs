@@ -97,16 +97,6 @@ impl OpList {
         self.inline.iter().take(self.len).chain(self.spill.iter())
     }
 
-    /// The operations as two contiguous slices, `(inline, spilled)`, in
-    /// push order. Lets bulk consumers (`BatchOutcome::push_outcome`) copy
-    /// with `extend_from_slice` instead of a per-op loop.
-    pub fn as_slices(&self) -> (&[MemOp], &[MemOp]) {
-        // The `min` keeps the range in bounds, so the probe cannot miss;
-        // `get` keeps the hot path panic-free anyway.
-        let inline = self.inline.get(..self.len.min(INLINE_OPS)).unwrap_or(&[]);
-        (inline, &self.spill)
-    }
-
     /// Whether any operation spilled to the heap.
     pub const fn spilled(&self) -> bool {
         self.len > INLINE_OPS
@@ -116,46 +106,6 @@ impl OpList {
 impl Default for OpList {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// An append-only sink of [`MemOp`]s.
-///
-/// The controller's op-emitting helpers are generic over this trait so one
-/// body serves both outcome shapes: the scalar path pushes into the two
-/// [`OpList`]s of a `SchemeOutcome`, the batched path into the flat
-/// `Vec<MemOp>`s of a `BatchOutcome` — same ops, same order, verified
-/// equivalent by the batch property tests.
-pub trait OpSink {
-    /// Appends one operation.
-    fn push_op(&mut self, op: MemOp);
-
-    /// Number of operations currently held. Emitters use before/after
-    /// lengths to learn whether a helper produced any traffic.
-    fn ops_len(&self) -> usize;
-}
-
-impl OpSink for OpList {
-    #[inline]
-    fn push_op(&mut self, op: MemOp) {
-        self.push(op);
-    }
-
-    #[inline]
-    fn ops_len(&self) -> usize {
-        self.len()
-    }
-}
-
-impl OpSink for Vec<MemOp> {
-    #[inline]
-    fn push_op(&mut self, op: MemOp) {
-        self.push(op);
-    }
-
-    #[inline]
-    fn ops_len(&self) -> usize {
-        self.len()
     }
 }
 
@@ -290,11 +240,6 @@ mod tests {
             assert_eq!(list, model, "OpList must mirror the Vec model");
             assert_eq!(list.len(), model.len());
             assert!(list.iter().eq(model.iter()));
-            let (a, b) = list.as_slices();
-            assert!(
-                a.iter().chain(b).eq(model.iter()),
-                "as_slices must cover the list in push order"
-            );
             assert_eq!(list.last(), model.last());
             assert_eq!(format!("{list:?}"), format!("{model:?}"));
         });

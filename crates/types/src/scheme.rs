@@ -21,7 +21,6 @@
 use core::fmt;
 
 use crate::access::Access;
-use crate::batch::BatchOutcome;
 use crate::fault::{FaultEffect, SchemeFault};
 use crate::mem::{MemKind, MemOp};
 use crate::obs::{TraceEvent, EVENT_KINDS};
@@ -323,29 +322,6 @@ pub trait MemoryScheme {
         out
     }
 
-    /// Handles a batch of consecutive accesses, writing each access's
-    /// traffic into `out` (cleared first) in batch order.
-    ///
-    /// Behaviorally identical to calling [`access`](MemoryScheme::access)
-    /// once per element — entry `i` of `out` holds exactly what the scalar
-    /// path would have produced for `accesses[i]`, and the scheme's stats
-    /// advance identically. The default implementation *is* that scalar
-    /// loop; schemes with a batch-aware hot path (SILC-FM) override it to
-    /// amortize dispatch and metadata-touch costs across the batch.
-    fn access_batch(&mut self, accesses: &[Access], out: &mut BatchOutcome) {
-        out.clear();
-        // One reservation up front: the per-access copy-in then never
-        // grows the entry vector, so trivial schemes (one op per access)
-        // run the loop at near-scalar cost.
-        out.reserve_entries(accesses.len());
-        let mut scratch = out.take_scratch();
-        for access in accesses {
-            self.access(access, &mut scratch);
-            out.push_outcome(&scratch);
-        }
-        out.restore_scratch(scratch);
-    }
-
     /// Short machine-readable name ("silcfm", "cameo", "pom", …).
     fn name(&self) -> &'static str;
 
@@ -360,8 +336,8 @@ pub trait MemoryScheme {
     /// the fault did to the data.
     ///
     /// Schemes without fault-plane support — all the baselines — keep this
-    /// default: the fault has no modeled target, so it is [`Masked`]
-    /// (`FaultEffect::Masked`) and generates no traffic. The default leaves
+    /// default: the fault has no modeled target, so it is
+    /// [`Masked`](FaultEffect::Masked) and generates no traffic. The default leaves
     /// `out` untouched; implementations clear it before filling it, exactly
     /// like [`access`](MemoryScheme::access).
     fn apply_fault(&mut self, _fault: &SchemeFault, _out: &mut SchemeOutcome) -> FaultEffect {
@@ -547,63 +523,6 @@ mod tests {
         assert_eq!(a.details, vec![("locks", 7.0), ("epochs", 7.0)]);
         // The merged rate is the access-weighted mean: 14/40.
         assert!((a.access_rate() - 0.35).abs() < 1e-12);
-    }
-
-    #[test]
-    fn default_access_batch_matches_the_scalar_loop() {
-        use crate::access::CoreId;
-
-        /// Toy scheme: odd addresses hit NM, every third access stalls.
-        struct Toy {
-            n: u64,
-        }
-        impl MemoryScheme for Toy {
-            fn access(&mut self, access: &Access, out: &mut SchemeOutcome) {
-                out.clear();
-                self.n += 1;
-                let near = access.addr.value().is_multiple_of(128);
-                let mem = if near { MemKind::Near } else { MemKind::Far };
-                out.critical.push(MemOp::demand_read(mem, access.addr, 64));
-                if !near {
-                    out.background
-                        .push(MemOp::migration_write(MemKind::Near, access.addr, 64));
-                }
-                out.serviced_from = mem;
-                out.global_stall_cycles = if self.n.is_multiple_of(3) { 11 } else { 0 };
-            }
-            fn name(&self) -> &'static str {
-                "toy"
-            }
-            fn stats(&self) -> SchemeStats {
-                SchemeStats {
-                    accesses: self.n,
-                    ..Default::default()
-                }
-            }
-            fn reset(&mut self) {
-                self.n = 0;
-            }
-        }
-
-        let accesses: Vec<Access> = (0..13)
-            .map(|i| Access::read(PhysAddr::new(i * 64), 0, CoreId::new(0)))
-            .collect();
-        let mut scalar = Toy { n: 0 };
-        let mut batched = Toy { n: 0 };
-        let mut out = BatchOutcome::new();
-        batched.access_batch(&accesses, &mut out);
-        assert_eq!(out.len(), accesses.len());
-        for (i, access) in accesses.iter().enumerate() {
-            let expected = scalar.access_fresh(access);
-            assert!(
-                out.entry(i).unwrap().matches(&expected),
-                "batched entry {i} diverged from the scalar path"
-            );
-        }
-        assert_eq!(scalar.stats(), batched.stats());
-        // Reuse across batches: clear() keeps capacity but no stale entries.
-        batched.access_batch(&accesses[..2], &mut out);
-        assert_eq!(out.len(), 2);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::time::Instant;
 
 use silc_fm::obs::{Align, TextTable};
 use silc_fm::sim::{
-    run_grid_serial, run_grid_traced, ExperimentGrid, RunParams, SchemeKind, TraceParams,
+    run_grid, run_grid_serial, ExperimentGrid, RunParams, RunSpec, SchemeKind, Tier, TraceParams,
 };
 use silc_fm::trace::profiles;
 use silc_fm::types::SystemConfig;
@@ -44,17 +44,21 @@ fn main() {
     // RunResults are bit-identical to the untraced serial pass (checked
     // below), so timing and the tail columns come from one run.
     let t1 = Instant::now();
-    let trace = TraceParams {
-        events_capacity: 1 << 14,
-        ..TraceParams::default_capture()
+    let spec = RunSpec {
+        tier: Tier::Ring,
+        trace: TraceParams {
+            events_capacity: 1 << 14,
+            ..TraceParams::default_capture()
+        },
+        ..RunSpec::default()
     };
-    let parallel = run_grid_traced(&jobs, &trace, threads);
+    let parallel = run_grid(&jobs, &spec, threads).expect("a fault-free grid cannot fail");
     let parallel_ms = t1.elapsed().as_secs_f64() * 1e3;
 
     let identical = serial
         .iter()
         .zip(&parallel)
-        .all(|(s, (p, _))| s.cycles == p.cycles && s.traffic == p.traffic);
+        .all(|(s, p)| s.cycles == p.result.cycles && s.traffic == p.result.traffic);
 
     println!("{workload}\n");
     let mut table = TextTable::new(&[
@@ -68,8 +72,9 @@ fn main() {
         ("migration MiB", Align::Right),
         ("blocks migrated", Align::Right),
     ]);
-    let (base, _) = &parallel[0];
-    for (r, report) in &parallel[1..] {
+    let base = &parallel[0].result;
+    for out in &parallel[1..] {
+        let (r, report) = (&out.result, out.obs.as_ref().expect("ring tier reports"));
         let overall = report.latency.overall();
         let [p50, p95, p99, _] = overall.percentiles();
         table.row(vec![

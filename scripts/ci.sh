@@ -39,6 +39,12 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -D warnings (offline)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# Doc links are checked like code: a deleted or renamed item must not
+# leave a dangling intra-doc link behind.
+echo "==> cargo doc (offline, broken intra-doc links are errors)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
+  cargo doc -q --workspace --no-deps --offline
+
 echo "==> cargo build --release (offline)"
 cargo build --release --workspace --offline
 
@@ -46,17 +52,15 @@ echo "==> cargo test -q (offline)"
 cargo test -q --workspace --offline
 
 # Smoke-run the throughput benchmark: a tiny budget exercises the whole
-# measurement path (stream generation, all three layers, every scheme) in
-# a few seconds without writing an artifact or timing the grid. The
-# batched layer runs behind its digest gate (`--batch 64`): every
-# scheme's access_batch replay must be byte-identical to the scalar one
-# or the binary exits non-zero. `--overhead` additionally runs SILC-FM
-# with the ring tracers and epoch sampler live and reports tracer-on vs
-# tracer-off acc/s plus the sampling tier at 1-in-16/1-in-256 (the
-# full-budget numbers live in results/BENCH_throughput.json).
-echo "==> throughput benchmark (smoke budget, batch gate, tracing overhead)"
+# measurement path (stream generation, both layers, every scheme) in a few
+# seconds without writing an artifact or timing the grid. `--overhead`
+# additionally runs SILC-FM with the ring tracers and epoch sampler live
+# and reports tracer-on vs tracer-off acc/s plus the sampling tier at
+# 1-in-16/1-in-256 (the full-budget numbers live in
+# results/BENCH_throughput.json).
+echo "==> throughput benchmark (smoke budget, tracing overhead)"
 cargo run --release --offline -p silcfm-bench --bin throughput -- \
-  --budget 2000 --repeats 1 --batch 64 --no-write --skip-grid --overhead
+  --budget 2000 --repeats 1 --no-write --skip-grid --overhead
 
 # Latency-percentile smoke: measure per-class demand-latency sketches
 # for every scheme on a 3-workload subset, and gate serial-vs-sharded

@@ -17,7 +17,10 @@
 use std::fmt::Write as _;
 
 use silc_fm::sim::experiment::space_for;
-use silc_fm::sim::{run_grid, run_grid_serial, ExperimentGrid, Job, RunParams, SchemeKind};
+use silc_fm::sim::{
+    run_grid, run_grid_serial, run_spec, ExperimentGrid, Job, RunOutput, RunParams, RunResult,
+    RunSpec, SchemeKind,
+};
 use silc_fm::trace::{PageMapper, PlacementPolicy, WorkloadGen};
 use silc_fm::types::{Access, CoreId, SchemeOutcome, SystemConfig};
 
@@ -41,6 +44,16 @@ fn snapshot_jobs() -> Vec<Job> {
             SchemeKind::silcfm(),
         ])
         .jobs()
+}
+
+/// Runs `job` the way `spec` says; the specs here arm no faults.
+fn run_job(job: &Job, spec: &RunSpec) -> RunOutput {
+    run_spec(&job.profile, job.scheme, &job.cfg, &job.params, spec).unwrap()
+}
+
+/// The results of a grid's outputs, in job order.
+fn results(outputs: &[RunOutput]) -> Vec<RunResult> {
+    outputs.iter().map(|o| o.result.clone()).collect()
 }
 
 /// Renders the stats digest, one line per run. Floats print with six
@@ -72,9 +85,9 @@ fn golden_stats_snapshot() {
 
     // The parallel engine must reproduce the digest bit for bit — this is
     // the aggregate-level determinism guarantee of the sharded runner.
-    let parallel = run_grid(&jobs, 4);
+    let parallel = run_grid(&jobs, &RunSpec::default(), 4).unwrap();
     assert_eq!(
-        digest(&parallel),
+        digest(&results(&parallel)),
         actual,
         "parallel runner digest diverged from the serial path"
     );
@@ -221,28 +234,31 @@ fn outcome_reuse_matches_fresh_outcomes() {
 #[test]
 fn tracing_is_behavior_neutral_and_deterministic() {
     use silc_fm::obs::export;
-    use silc_fm::sim::{run_grid_traced, run_traced, TraceParams};
+    use silc_fm::sim::{Tier, TraceParams};
 
     let jobs = snapshot_jobs();
     let untraced = digest(&run_grid_serial(&jobs));
 
-    let trace = TraceParams {
-        events_capacity: 1 << 14,
-        epoch_cycles: 50_000,
+    let spec = RunSpec {
+        tier: Tier::Ring,
+        trace: TraceParams {
+            events_capacity: 1 << 14,
+            epoch_cycles: 50_000,
+        },
+        ..RunSpec::default()
     };
-    let traced = run_grid_traced(&jobs, &trace, 4);
-    let results: Vec<_> = traced.iter().map(|(r, _)| r.clone()).collect();
+    let traced = run_grid(&jobs, &spec, 4).unwrap();
     assert_eq!(
-        digest(&results),
+        digest(&results(&traced)),
         untraced,
         "turning tracing on changed simulated behavior"
     );
 
     // Byte-identical exports, serial vs parallel, spot-checked on a few
     // cells (the full grid above already pins the numeric digest).
-    for (job, (_, parallel_report)) in jobs.iter().zip(&traced).take(3) {
-        let (_, serial_report) =
-            run_traced(&job.profile, job.scheme, &job.cfg, &job.params, &trace);
+    for (job, parallel) in jobs.iter().zip(&traced).take(3) {
+        let parallel_report = parallel.obs.as_ref().unwrap();
+        let serial_report = run_job(job, &spec).obs.unwrap();
         assert_eq!(
             export::chrome_trace(&serial_report),
             export::chrome_trace(parallel_report),
@@ -267,11 +283,15 @@ fn tracing_is_behavior_neutral_and_deterministic() {
 /// the grid aggregation rely on.
 #[test]
 fn latency_sketches_are_byte_identical_serial_vs_sharded() {
-    use silc_fm::sim::{run_sharded_traced, run_traced, ShardParams, TraceParams};
+    use silc_fm::sim::{Engine, ShardParams, Tier, TraceParams};
 
-    let trace = TraceParams {
-        events_capacity: 1 << 14,
-        epoch_cycles: 50_000,
+    let spec = RunSpec {
+        tier: Tier::Ring,
+        trace: TraceParams {
+            events_capacity: 1 << 14,
+            epoch_cycles: 50_000,
+        },
+        ..RunSpec::default()
     };
     // A slice of the snapshot grid with class diversity: SILC-FM exercises
     // swap/bypass/lock paths, HMA the epoch-migration path.
@@ -289,8 +309,7 @@ fn latency_sketches_are_byte_identical_serial_vs_sharded() {
     );
 
     for job in &jobs {
-        let (_, serial_report) =
-            run_traced(&job.profile, job.scheme, &job.cfg, &job.params, &trace);
+        let serial_report = run_job(job, &spec).obs.unwrap();
         let mut serial_bytes = String::new();
         serial_report.latency.encode(&mut serial_bytes);
         assert!(
@@ -298,15 +317,11 @@ fn latency_sketches_are_byte_identical_serial_vs_sharded() {
             "the percentile plane must see samples"
         );
         for threads in [2usize, 4] {
-            let shard = ShardParams::with_threads(threads);
-            let (_, sharded_report, _) = run_sharded_traced(
-                &job.profile,
-                job.scheme,
-                &job.cfg,
-                &job.params,
-                &trace,
-                &shard,
-            );
+            let sharded = RunSpec {
+                engine: Engine::Sharded(ShardParams::with_threads(threads)),
+                ..spec
+            };
+            let sharded_report = run_job(job, &sharded).obs.unwrap();
             let mut sharded_bytes = String::new();
             sharded_report.latency.encode(&mut sharded_bytes);
             assert_eq!(

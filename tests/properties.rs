@@ -746,17 +746,25 @@ fn sharded_runs_match_serial_bit_for_bit() {
     });
 }
 
-/// The sharded runner stays bit-identical with the heavyweight run modes
-/// on: full observability (result digest, Chrome trace and CSV exports all
-/// byte-equal to the serial traced run) and armed fault schedules (ledger
-/// bit-equal, conserved, and still conserved after merging ledgers).
+/// Every cell of the run surface simulates the same machine. Over tier
+/// {Off, MetricsOnly, Ring, Sampled(16)} × faults {none, harsh} × engine
+/// {serial, sharded}:
+///
+/// * each cell's result digest equals the reference for its fault setting —
+///   plain `run` when fault-free, the untraced serial faulted cell when
+///   faults are armed;
+/// * fault ledgers are identical across engines and tiers and stay
+///   conserved, also after merging two of them;
+/// * latency-plane encodings, exact event counters, and Chrome/CSV exports
+///   are byte-equal between serial and sharded, and the latency plane does
+///   not depend on the tier.
 #[test]
 fn sharded_traced_and_faulted_runs_match_serial() {
-    use silc_fm::fault::FaultRates;
+    use silc_fm::fault::{FaultRates, FaultStats};
     use silc_fm::obs::export;
     use silc_fm::sim::{
-        run_faulted, run_sharded_faulted, run_sharded_traced, run_traced, FaultParams, RunParams,
-        SchemeKind, ShardParams, TraceParams,
+        run, run_spec, Engine, FaultParams, RunParams, RunSpec, SchemeKind, ShardParams, Tier,
+        TraceParams,
     };
     use silc_fm::types::{FxHasher, SystemConfig};
     use std::hash::Hasher as _;
@@ -781,46 +789,103 @@ fn sharded_traced_and_faulted_runs_match_serial() {
             epoch_records: rng.gen_range(64u64..1_000),
             lookahead_epochs: rng.gen_range(1usize..4),
         };
-
-        // Tracing on: results and exported artifacts are byte-identical.
         let trace = TraceParams {
             events_capacity: 1 << 14,
             epoch_cycles: 50_000,
         };
-        let (sr, s_report) = run_traced(profile, scheme, &cfg, &params, &trace);
-        let (pr, p_report, shard_report) =
-            run_sharded_traced(profile, scheme, &cfg, &params, &trace, &shard);
-        assert_eq!(digest(&pr), digest(&sr), "traced results diverged");
-        assert_eq!(shard_report.delta_mismatches, 0);
-        assert_eq!(
-            export::chrome_trace(&p_report),
-            export::chrome_trace(&s_report),
-            "chrome trace diverged under sharding"
-        );
-        assert_eq!(
-            export::csv_series(&p_report),
-            export::csv_series(&s_report),
-            "CSV time series diverged under sharding"
-        );
-
-        // Fault schedule armed: the ledger is bit-identical and conserved,
-        // and ledgers from independent runs merge without leaking.
-        let faults = FaultParams {
+        let harsh = FaultParams {
             fault_seed: rng.gen_range(0u64..1 << 48),
             horizon_cycles: 3_000_000,
             rates: FaultRates::harsh(),
         };
-        let (fr, f_stats) = run_faulted(profile, scheme, &cfg, &params, &faults).unwrap();
-        let (pfr, pf_stats, f_shard) =
-            run_sharded_faulted(profile, scheme, &cfg, &params, &faults, &shard).unwrap();
-        assert_eq!(digest(&pfr), digest(&fr), "faulted results diverged");
-        assert_eq!(pf_stats, f_stats, "fault ledgers diverged");
-        assert!(pf_stats.conserved());
-        assert_eq!(f_shard.delta_mismatches, 0);
-        let mut merged = pf_stats;
-        merged.merge(&f_stats);
-        assert!(merged.conserved(), "merged ledgers must not leak effects");
-        assert_eq!(merged.injected, 2 * f_stats.injected);
+        let plain = digest(&run(profile, scheme, &cfg, &params));
+
+        for faults in [None, Some(harsh)] {
+            let mut want = faults.is_none().then_some(plain);
+            let mut ledger: Option<FaultStats> = None;
+            let mut latency: Option<String> = None;
+            for tier in [
+                Tier::Off,
+                Tier::MetricsOnly,
+                Tier::Ring,
+                Tier::Sampled { period: 16 },
+            ] {
+                let label = format!("{tier:?} faulted={}", faults.is_some());
+                let cell = |engine| {
+                    let spec = RunSpec {
+                        tier,
+                        trace,
+                        faults,
+                        engine,
+                    };
+                    run_spec(profile, scheme, &cfg, &params, &spec).unwrap()
+                };
+                let serial = cell(Engine::Serial);
+                let sharded = cell(Engine::Sharded(shard));
+
+                let want = *want.get_or_insert(digest(&serial.result));
+                assert_eq!(
+                    digest(&serial.result),
+                    want,
+                    "{label}: serial result diverged"
+                );
+                assert_eq!(
+                    digest(&sharded.result),
+                    want,
+                    "{label}: sharded result diverged"
+                );
+                assert_eq!(sharded.shard.unwrap().delta_mismatches, 0, "{label}");
+
+                assert_eq!(
+                    sharded.faults, serial.faults,
+                    "{label}: fault ledgers diverged"
+                );
+                assert!(serial.faults.conserved(), "{label}");
+                assert_eq!(
+                    *ledger.get_or_insert(serial.faults),
+                    serial.faults,
+                    "{label}: fault ledger depends on the tier"
+                );
+                let mut merged = serial.faults;
+                merged.merge(&sharded.faults);
+                assert!(merged.conserved(), "merged ledgers must not leak effects");
+                assert_eq!(merged.injected, 2 * serial.faults.injected);
+                if faults.is_none() {
+                    assert_eq!(serial.faults, FaultStats::default(), "{label}");
+                }
+
+                assert_eq!(
+                    sharded.counters, serial.counters,
+                    "{label}: counters diverged"
+                );
+                match (&serial.obs, &sharded.obs) {
+                    (None, None) => assert_eq!(tier, Tier::Off, "{label}: report missing"),
+                    (Some(s), Some(p)) => {
+                        let mut s_lat = String::new();
+                        s.latency.encode(&mut s_lat);
+                        let mut p_lat = String::new();
+                        p.latency.encode(&mut p_lat);
+                        assert_eq!(p_lat, s_lat, "{label}: latency plane diverged");
+                        assert_eq!(
+                            *latency.get_or_insert_with(|| s_lat.clone()),
+                            s_lat,
+                            "{label}: latency plane depends on the tier"
+                        );
+                        assert_eq!(
+                            export::chrome_trace(p),
+                            export::chrome_trace(s),
+                            "{label}: chrome trace diverged under sharding"
+                        );
+                        assert_eq!(
+                            export::csv_series(p),
+                            export::csv_series(s),
+                            "{label}: CSV time series diverged under sharding"
+                        );
+                    }
+                    _ => panic!("{label}: engines disagree on whether a report exists"),
+                }
+            }
+        }
     });
 }
 
@@ -831,7 +896,7 @@ fn sharded_traced_and_faulted_runs_match_serial() {
 #[test]
 fn sharded_journaled_grid_survives_random_cuts() {
     use silc_fm::sim::runner::ExperimentGrid;
-    use silc_fm::sim::{run_grid_journaled_sharded, RunParams, SchemeKind, ShardParams};
+    use silc_fm::sim::{run_grid_journaled, Engine, RunParams, RunSpec, SchemeKind, ShardParams};
     use silc_fm::types::SystemConfig;
 
     let dir =
@@ -850,18 +915,20 @@ fn sharded_journaled_grid_survives_random_cuts() {
             .scheme(SchemeKind::silcfm())
             .seed_per_job()
             .jobs();
-        let shard = ShardParams {
-            threads: rng.gen_range(2usize..4),
-            epoch_records: rng.gen_range(128u64..600),
-            lookahead_epochs: 2,
+        let spec = RunSpec {
+            engine: Engine::Sharded(ShardParams {
+                threads: rng.gen_range(2usize..4),
+                epoch_records: rng.gen_range(128u64..600),
+                lookahead_epochs: 2,
+            }),
+            ..RunSpec::default()
         };
         let path = dir.join(format!(
             "case-{:016x}.journal",
             rng.gen_range(0u64..u64::MAX)
         ));
 
-        let uninterrupted =
-            run_grid_journaled_sharded(&jobs, 1, &path, false, &shard, |_, _| {}).unwrap();
+        let uninterrupted = run_grid_journaled(&jobs, &spec, 1, &path, false, |_, _| {}).unwrap();
         let full = std::fs::read(&path).unwrap();
 
         // Crash model: the file survives only up to an arbitrary byte.
@@ -869,7 +936,7 @@ fn sharded_journaled_grid_survives_random_cuts() {
         let cut = rng.gen_range(header_end..=full.len());
         std::fs::write(&path, &full[..cut]).unwrap();
 
-        let resumed = run_grid_journaled_sharded(&jobs, 1, &path, true, &shard, |_, _| {}).unwrap();
+        let resumed = run_grid_journaled(&jobs, &spec, 1, &path, true, |_, _| {}).unwrap();
         assert_eq!(uninterrupted, resumed, "aggregate must be cut-invariant");
         assert_eq!(
             std::fs::read(&path).unwrap(),
@@ -905,144 +972,4 @@ fn frame_counters_saturate_at_the_field_width() {
             assert_eq!(m.nm_counter.max(m.fm_counter), COUNTER_MAX);
         }
     });
-}
-
-// ---- batched access path ----------------------------------------------------
-
-/// The batched access path is, per access, byte-identical to the scalar
-/// loop: every scheme (baselines included), every batch size — including a
-/// batch larger than the whole stream — produces the same operations,
-/// service decisions and stall charges, and leaves the scheme with the
-/// same statistics.
-#[test]
-fn access_batch_is_bit_identical_to_the_scalar_loop() {
-    use silc_fm::sim::SchemeKind;
-    use silc_fm::types::{BatchOutcome, SchemeOutcome};
-
-    forall_cases(
-        "access_batch_is_bit_identical_to_the_scalar_loop",
-        12,
-        |rng| {
-            let kinds = [
-                SchemeKind::NoNm,
-                SchemeKind::Rand,
-                SchemeKind::Hma,
-                SchemeKind::Cameo,
-                SchemeKind::CameoPrefetch,
-                SchemeKind::Pom,
-                SchemeKind::silcfm(),
-            ];
-            let accesses = arb_accesses(rng, 600);
-            for kind in kinds {
-                for batch in [1usize, 7, 64, 4096] {
-                    let mut scalar = kind.build(space(), accesses.len() as u64);
-                    let mut batched = kind.build(space(), accesses.len() as u64);
-                    let mut out = SchemeOutcome::empty();
-                    let mut bout = BatchOutcome::new();
-                    let mut done = 0usize;
-                    for chunk in accesses.chunks(batch) {
-                        batched.access_batch(chunk, &mut bout);
-                        assert_eq!(bout.len(), chunk.len(), "one entry per access");
-                        for (j, access) in chunk.iter().enumerate() {
-                            scalar.access(access, &mut out);
-                            let view = bout.entry(j).unwrap();
-                            assert!(
-                                view.matches(&out),
-                                "{} batch={batch} access {}: {view:?} != {out:?}",
-                                kind.label(),
-                                done + j,
-                            );
-                        }
-                        done += chunk.len();
-                    }
-                    assert_eq!(
-                        format!("{:?}", scalar.stats()),
-                        format!("{:?}", batched.stats()),
-                        "{} batch={batch}: stats diverged",
-                        kind.label(),
-                    );
-                }
-            }
-        },
-    );
-}
-
-/// The batch equivalence holds with the heavyweight run modes on: a
-/// sampling-traced SILC-FM instance driven batched stays access-for-access
-/// identical to the scalar one — exact event counters included — while
-/// faults (degrade, bit flips, parity, repair) land between batches.
-#[test]
-fn access_batch_matches_scalar_under_tracing_and_faults() {
-    use silc_fm::sim::SchemeKind;
-    use silc_fm::types::fault::EccOutcome;
-    use silc_fm::types::{BatchOutcome, SchemeFault, SchemeOutcome};
-
-    forall_cases(
-        "access_batch_matches_scalar_under_tracing_and_faults",
-        24,
-        |rng| {
-            let accesses = arb_accesses(rng, 400);
-            let batch = [1usize, 7, 64, 4096][rng.gen_range(0usize..4)];
-            let period = [1u64, 16, 256][rng.gen_range(0usize..3)];
-            let kind = SchemeKind::silcfm();
-            let total = accesses.len() as u64;
-            let mut scalar = kind.build_sampled(space(), total, 1 << 10, period);
-            let mut batched = kind.build_sampled(space(), total, 1 << 10, period);
-
-            let arb_fault = |rng: &mut Xoshiro256StarStar| match rng.gen_range(0u64..4) {
-                0 => SchemeFault::DegradeWay {
-                    way: rng.gen_range(0u64..4) as u8,
-                },
-                1 => SchemeFault::RestoreWay {
-                    way: rng.gen_range(0u64..4) as u8,
-                },
-                2 => SchemeFault::BitFlip {
-                    frame: rng.gen_range(0..NM_BLOCKS) as u32,
-                    subblock: rng.gen_range(0u64..32) as u8,
-                    ecc: [
-                        EccOutcome::Corrected,
-                        EccOutcome::DetectedUncorrectable,
-                        EccOutcome::Undetected,
-                    ][rng.gen_range(0usize..3)],
-                },
-                _ => SchemeFault::MetadataParity {
-                    frame: rng.gen_range(0..NM_BLOCKS) as u32,
-                },
-            };
-
-            let mut out = SchemeOutcome::empty();
-            let mut bout = BatchOutcome::new();
-            let mut fault_out_a = SchemeOutcome::empty();
-            let mut fault_out_b = SchemeOutcome::empty();
-            for chunk in accesses.chunks(batch) {
-                // A fault lands between batches with probability 1/2 — the
-                // same fault at the same stream position on both instances,
-                // mirroring how the driver delivers scheduled faults at
-                // access boundaries.
-                if rng.gen_bool(0.5) {
-                    let fault = arb_fault(rng);
-                    let ea = scalar.apply_fault(&fault, &mut fault_out_a);
-                    let eb = batched.apply_fault(&fault, &mut fault_out_b);
-                    assert_eq!(ea, eb, "fault effects diverged for {fault:?}");
-                    assert_eq!(fault_out_a, fault_out_b, "fault traffic diverged");
-                }
-                batched.access_batch(chunk, &mut bout);
-                for (j, access) in chunk.iter().enumerate() {
-                    scalar.access(access, &mut out);
-                    let view = bout.entry(j).unwrap();
-                    assert!(view.matches(&out), "batch={batch} period={period}");
-                }
-            }
-            assert_eq!(
-                scalar.trace_counters(),
-                batched.trace_counters(),
-                "exact event counters diverged (batch={batch}, period={period})"
-            );
-            assert_eq!(
-                format!("{:?}", scalar.stats()),
-                format!("{:?}", batched.stats()),
-                "stats diverged (batch={batch}, period={period})"
-            );
-        },
-    );
 }
