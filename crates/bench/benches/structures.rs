@@ -12,6 +12,9 @@ use silcfm_types::rng::SplitMix64;
 use silcfm_types::{Access, AddressSpace, CoreId, Geometry, MemoryScheme, PhysAddr, SystemConfig};
 
 fn bench_history_table() {
+    bench("history_table", "construct", || {
+        std::hint::black_box(BitVectorTable::new(1 << 20));
+    });
     let mut table = BitVectorTable::new(1 << 20);
     let mut key = 0u64;
     bench("history_table", "store", || {
@@ -90,6 +93,9 @@ fn bench_dram() {
 
 fn bench_controller() {
     let space = AddressSpace::new(4096 * 2048, 4 * 4096 * 2048);
+    bench("silcfm", "construct", || {
+        std::hint::black_box(SilcFm::new(space, Geometry::paper(), SilcFmParams::paper()));
+    });
     let mut scheme = SilcFm::new(space, Geometry::paper(), SilcFmParams::paper());
     let mut out = silcfm_types::SchemeOutcome::empty();
     let mut i = 0u64;

@@ -242,9 +242,10 @@ impl<T: Tracer> SilcFm<T> {
         set + u64::from(way) * self.sets
     }
 
-    /// Congruence set of a block index. Every Table II geometry has a
-    /// power-of-two set count, so the hot path reduces to a mask; the
-    /// modulo fallback keeps odd geometries working identically.
+    /// Congruence set of a block index: a mask when the set count is a
+    /// power of two, a modulo otherwise. Not every geometry qualifies: 7 of
+    /// the 14 Table III jobs at benchmark scale have 5120, 6144 or 10240
+    /// sets and take the modulo.
     fn set_of(&self, block: u64) -> u64 {
         if self.sets.is_power_of_two() {
             block & (self.sets - 1)

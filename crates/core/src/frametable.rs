@@ -125,8 +125,9 @@ impl FrameTable {
     }
 
     /// Slot of frame id `f` (the controller's `set + way * sets`
-    /// numbering). Every Table II geometry has a power-of-two set count,
-    /// so the hot path reduces to mask + shift.
+    /// numbering): mask + shift when the set count is a power of two,
+    /// `%` and `/` otherwise (5120, 6144 and 10240 sets, as in 7 of the 14
+    /// Table III jobs at benchmark scale).
     pub fn slot_of(&self, f: u64) -> usize {
         let (set, way) = if self.sets.is_power_of_two() {
             (f & (self.sets - 1), f >> self.sets.trailing_zeros())

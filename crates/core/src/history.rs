@@ -8,12 +8,20 @@
 //! were useful last time, capturing spatial locality without fetching the
 //! whole 2 KB block.
 
+use silcfm_types::FxHashMap;
+
 /// A direct-mapped history table of residency bit vectors.
+///
+/// The modelled SRAM has `len()` slots, but only slots that have been
+/// stored to are held: a job saves one vector per restore, a few hundred
+/// against a million slots, so the table is a map from slot index to
+/// vector. An absent slot reads as 0, exactly like a never-written SRAM
+/// word, so aliasing, later-store-wins and "0 reads as empty" are those of
+/// the dense table.
 #[derive(Debug, Clone)]
 pub struct BitVectorTable {
-    entries: Vec<u64>,
+    entries: FxHashMap<u32, u64>,
     mask: usize,
-    stores: u64,
     hits: u64,
     lookups: u64,
 }
@@ -27,47 +35,42 @@ impl BitVectorTable {
     pub fn new(entries: usize) -> Self {
         assert!(entries > 0, "history table must have at least one entry");
         let n = entries.next_power_of_two();
-        // Pre-fault the table: `vec![0; n]` maps lazily-zeroed pages, which
-        // would otherwise take their page faults on the access path — the
-        // first store to each page of a multi-megabyte table lands mid-run.
-        // One real write per page moves that cost to construction.
-        let mut table = vec![0u64; n];
-        for slot in table.iter_mut().step_by(4096 / core::mem::size_of::<u64>()) {
-            *std::hint::black_box(slot) = 0;
-        }
         Self {
-            entries: table,
+            // Room for a typical job's stored slots, so `store` rarely
+            // grows the map mid-run.
+            entries: FxHashMap::with_capacity_and_hasher(n.min(1024), Default::default()),
             mask: n - 1,
-            stores: 0,
             hits: 0,
             lookups: 0,
         }
     }
 
-    /// Number of slots.
+    /// Number of slots in the modelled table.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.mask + 1
     }
 
     /// Whether the table has zero slots (never true after construction).
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        false
     }
 
-    /// Saves `bitvec` under `key` (PC ⊕ first-subblock address).
+    /// Saves `bitvec` under `key` (PC ⊕ first-subblock address). Kept out
+    /// of line, like [`Self::lookup`]: the map probe runs once per tenancy
+    /// change, and inlined into `SilcFm::access` it grows that function's
+    /// per-access body.
+    #[inline(never)]
     pub fn store(&mut self, key: u64, bitvec: u64) {
-        self.stores += 1;
-        let idx = self.index(key);
-        // silcfm-lint: allow(P1) -- index() masks the hash into the power-of-two table
-        self.entries[idx] = bitvec;
+        self.entries.insert(self.index(key), bitvec);
     }
 
     /// Looks up the bit vector remembered for `key`; returns `None` when the
-    /// slot is empty (no useful history).
+    /// slot is empty (no useful history). Kept out of line; see
+    /// [`Self::store`].
+    #[inline(never)]
     pub fn lookup(&mut self, key: u64) -> Option<u64> {
         self.lookups += 1;
-        // silcfm-lint: allow(P1) -- index() masks the hash into the power-of-two table
-        let v = self.entries[self.index(key)];
+        let v = self.entries.get(&self.index(key)).copied().unwrap_or(0);
         if v == 0 {
             None
         } else {
@@ -87,21 +90,23 @@ impl BitVectorTable {
 
     /// Clears all entries and statistics.
     pub fn reset(&mut self) {
-        self.entries.fill(0);
-        self.stores = 0;
+        self.entries.clear();
         self.hits = 0;
         self.lookups = 0;
     }
 
-    fn index(&self, key: u64) -> usize {
-        // Fibonacci hashing mixes the XORed PC/address bits well.
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & self.mask
+    fn index(&self, key: u64) -> u32 {
+        // Fibonacci hashing mixes the XORed PC/address bits well; the top
+        // 32 bits of the product always fit the slot type.
+        ((key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & self.mask) as u32
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use silcfm_types::check::forall;
+    use silcfm_types::rng::Rng;
 
     #[test]
     fn store_then_lookup() {
@@ -154,5 +159,60 @@ mod tests {
     #[should_panic(expected = "at least one entry")]
     fn zero_entries_panics() {
         let _ = BitVectorTable::new(0);
+    }
+
+    #[test]
+    fn sparse_table_matches_a_dense_reference() {
+        // The dense `Vec<u64>` SRAM model the sparse table replaced: every
+        // slot exists up front and a never-written slot holds 0.
+        forall("history_sparse_equals_dense", |rng| {
+            let entries = if rng.gen_range(0..8u64) == 0 {
+                // Large enough that distinct keys rarely share a slot.
+                1 << 16
+            } else {
+                // Small tables force most keys to alias.
+                rng.gen_range(1..=64usize)
+            };
+            let n = entries.next_power_of_two();
+            let slot =
+                |key: u64| (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & (n - 1);
+            let mut dense = vec![0u64; n];
+            let (mut dense_hits, mut dense_lookups) = (0u64, 0u64);
+            let mut t = BitVectorTable::new(entries);
+            assert_eq!(t.len(), n);
+            let keys = rng.gen_range(1..=256u64);
+            for step in 0..rng.gen_range(1..=400u32) {
+                let key = rng.gen_range(0..keys).wrapping_mul(0x0123_4567_89AB);
+                match rng.gen_range(0..16u32) {
+                    0..=5 => {
+                        let v = if rng.gen_range(0..4u32) == 0 {
+                            0
+                        } else {
+                            rng.next_u64()
+                        };
+                        t.store(key, v);
+                        dense[slot(key)] = v;
+                    }
+                    6 => {
+                        t.reset();
+                        dense.fill(0);
+                        (dense_hits, dense_lookups) = (0, 0);
+                    }
+                    _ => {
+                        let v = dense[slot(key)];
+                        dense_lookups += 1;
+                        dense_hits += u64::from(v != 0);
+                        let want = (v != 0).then_some(v);
+                        assert_eq!(t.lookup(key), want, "step {step}: key {key:#x}");
+                    }
+                }
+                let want_rate = if dense_lookups == 0 {
+                    0.0
+                } else {
+                    dense_hits as f64 / dense_lookups as f64
+                };
+                assert_eq!(t.hit_rate().to_bits(), want_rate.to_bits(), "step {step}");
+            }
+        });
     }
 }
