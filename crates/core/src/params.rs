@@ -1,5 +1,7 @@
 //! SILC-FM configuration parameters and the Fig. 6 feature ladder.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use core::fmt;
 
 /// Tunable parameters of the SILC-FM controller.

@@ -1,5 +1,7 @@
 //! DRAM device configuration and the Table II presets.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use core::fmt;
 
 use silcfm_types::SilcFmError;

@@ -34,6 +34,8 @@
 //! assert_eq!(a.faults(), b.faults()); // same seed, same schedule — always
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod driver;
 pub mod schedule;
 

@@ -1,22 +1,24 @@
 //! `silcfm-lint`: in-tree static analysis for the SILC-FM workspace.
 //!
-//! The simulator's credibility rests on three implementation contracts that
+//! The simulator's credibility rests on implementation contracts that
 //! ordinary tests check only after the fact: **determinism** (bit-identical
-//! serial/parallel results), **hermeticity** (no external crates, fully
-//! offline builds) and **hot-path discipline** (the access path neither
-//! allocates nor panics). This crate checks those contracts *mechanically*,
-//! before the build, with a hand-rolled lexer and a token-pattern rule
-//! engine — no parser, no dependencies.
+//! serial/parallel results) and **hot-path discipline** (the access path
+//! neither allocates nor panics). This crate checks the parts of those
+//! contracts that need a whole-workspace view, before the build, with no
+//! dependencies: a hand-rolled [`lexer`], an item [`parse`]r, a cross-file
+//! [`symbols`] table and [`callgraph`], and the interprocedural passes in
+//! [`interproc`]. File-local checks that clippy can make (default hashers,
+//! wall-clock and env reads, unwrap/expect/panic in setup code) live in the
+//! workspace `clippy.toml` instead; hermeticity is pinned by the lockfile
+//! test in `tests/config_guard.rs`.
 //!
 //! See [`rules`] for the rule table, [`directives`] for the suppression
 //! syntax, and DESIGN.md § Static analysis for how to add a rule.
 
-pub mod cache;
 pub mod callgraph;
 pub mod directives;
 pub mod interproc;
 pub mod lexer;
-pub mod manifest;
 pub mod parse;
 pub mod report;
 pub mod rules;
@@ -29,7 +31,7 @@ use std::path::{Path, PathBuf};
 /// One lint finding, anchored to `path:line`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule ID (`D1`, `D2`, `H1`, `P1`, `A1`, `S1`, `N1`, `F1`, `T1`, `X1`).
+    /// Rule ID (one of [`rules::RULE_IDS`]).
     pub rule: &'static str,
     /// Workspace-relative path with forward slashes.
     pub path: String,
@@ -53,7 +55,7 @@ pub struct LintReport {
     pub findings: Vec<Finding>,
     /// Number of findings silenced by `allow` directives.
     pub suppressed: usize,
-    /// Number of files scanned (sources + manifests).
+    /// Number of Rust sources scanned.
     pub files_scanned: usize,
 }
 
@@ -161,8 +163,8 @@ pub const SANCTIONED_CONCURRENCY: &[&str] =
 /// Lints one Rust source under its logical workspace path: the full
 /// pipeline (token rules + call-graph rules) over a single-file workspace,
 /// with suppression directives applied. Exposed for fixture tests;
-/// [`lint_workspace`] runs the same logic per real file (plus manifests
-/// and the cross-file S1 pass).
+/// [`lint_workspace`] runs the same logic per real file (plus the
+/// cross-file S1 pass).
 pub fn lint_rust_source(path: &str, source: &str) -> (Vec<Finding>, usize) {
     lint_sources(&[(path.to_string(), source.to_string())], &BTreeMap::new())
 }
@@ -327,8 +329,8 @@ pub fn check_obs_namespace(
 }
 
 /// Lints the workspace rooted at `root`: every `crates/*/{src,tests,
-/// examples,benches}` tree (except the linter's own), the top-level `src/`,
-/// `tests/` and `examples/`, and every `Cargo.toml`.
+/// examples,benches}` tree (except the linter's own) and the top-level
+/// `src/`, `tests/` and `examples/`.
 pub fn lint_workspace(root: &Path) -> std::io::Result<LintReport> {
     let mut report = LintReport::default();
     let crate_names = crate_name_map(root)?;
@@ -353,16 +355,6 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<LintReport> {
         if !series.is_empty() {
             series_keys.insert(sf.path.clone(), series);
         }
-    }
-
-    for manifest_path in workspace_manifests(root)? {
-        let logical = logical_path(root, &manifest_path);
-        let source = fs::read_to_string(&manifest_path)?;
-        let (findings, allows) = manifest::lint_manifest(&logical, &source);
-        let (kept, suppressed) = directives::apply(findings, &allows);
-        report.suppressed += suppressed;
-        all.extend(kept);
-        report.files_scanned += 1;
     }
 
     // S1 runs once over all collected keys; per-file directives still apply.
@@ -394,28 +386,6 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<LintReport> {
     all.sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
     report.findings = all;
     Ok(report)
-}
-
-/// Content hashes of every input the linter reads — Rust sources, manifests
-/// and the stat-key registry — keyed by logical path. This is the domain of
-/// the incremental cache's fingerprint: if none of these bytes changed (and
-/// the analyzer configuration didn't either), the previous report replays.
-pub fn input_hashes(root: &Path) -> std::io::Result<BTreeMap<String, u64>> {
-    let mut hashes = BTreeMap::new();
-    for file in workspace_rust_files(root)? {
-        hashes.insert(logical_path(root, &file), cache::fnv1a(&fs::read(&file)?));
-    }
-    for m in workspace_manifests(root)? {
-        hashes.insert(logical_path(root, &m), cache::fnv1a(&fs::read(&m)?));
-    }
-    let registry = root.join(STAT_KEY_REGISTRY);
-    if registry.is_file() {
-        hashes.insert(
-            STAT_KEY_REGISTRY.to_string(),
-            cache::fnv1a(&fs::read(&registry)?),
-        );
-    }
-    Ok(hashes)
 }
 
 /// Workspace-relative forward-slash path of `file`.
@@ -464,16 +434,6 @@ pub fn all_workspace_rust_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     }
     files.sort();
     Ok(files)
-}
-
-/// Every manifest the linter checks (including the linter's own).
-fn workspace_manifests(root: &Path) -> std::io::Result<Vec<PathBuf>> {
-    let mut manifests = vec![root.join("Cargo.toml")];
-    for krate in crate_dirs(root)? {
-        manifests.push(krate.join("Cargo.toml"));
-    }
-    manifests.retain(|m| m.is_file());
-    Ok(manifests)
 }
 
 /// `crates/<dir>` directory name → package name, parsed from each crate's

@@ -5,16 +5,8 @@
 //! cargo run -p silcfm-lint -- --json        # machine-readable findings
 //! cargo run -p silcfm-lint -- --fix-hints
 //! cargo run -p silcfm-lint -- --explain A1  # why a rule exists, how to fix
-//! cargo run -p silcfm-lint -- --changed-only # findings in files changed
-//!                                            # since the last cached run
-//! cargo run -p silcfm-lint -- --no-cache    # force a full analysis
 //! cargo run -p silcfm-lint -- <root>        # lint a different tree
 //! ```
-//!
-//! Results are cached in `target/silcfm-lint-cache.txt`, keyed by a
-//! fingerprint over every input file plus the analyzer configuration; the
-//! analysis is cross-file, so any input change invalidates the whole report
-//! (per-file reuse would be unsound — see `cache`).
 //!
 //! Exit code is nonzero iff any unsuppressed finding (or an I/O error)
 //! remains — CI wires this before the build, where it is cheapest.
@@ -22,13 +14,9 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use silcfm_lint::cache;
-
 fn main() -> ExitCode {
     let mut json = false;
     let mut fix_hints = false;
-    let mut no_cache = false;
-    let mut changed_only = false;
     let mut explain: Option<String> = None;
     let mut root: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
@@ -36,8 +24,6 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--json" => json = true,
             "--fix-hints" => fix_hints = true,
-            "--no-cache" => no_cache = true,
-            "--changed-only" => changed_only = true,
             "--explain" => {
                 let Some(rule) = args.next() else {
                     eprintln!("silcfm-lint: --explain needs a rule ID (e.g. --explain A1)");
@@ -46,10 +32,7 @@ fn main() -> ExitCode {
                 explain = Some(rule);
             }
             "--help" | "-h" => {
-                println!(
-                    "usage: silcfm-lint [--json] [--fix-hints] [--no-cache] \
-                     [--changed-only] [--explain RULE] [root]"
-                );
+                println!("usage: silcfm-lint [--json] [--fix-hints] [--explain RULE] [root]");
                 return ExitCode::SUCCESS;
             }
             other if root.is_none() && !other.starts_with('-') => {
@@ -87,56 +70,13 @@ fn main() -> ExitCode {
             .join("..")
     });
 
-    let hashes = match silcfm_lint::input_hashes(&root) {
-        Ok(h) => h,
+    let report = match silcfm_lint::lint_workspace(&root) {
+        Ok(r) => r,
         Err(e) => {
             eprintln!("silcfm-lint: failed to scan {}: {e}", root.display());
             return ExitCode::from(2);
         }
     };
-    let fingerprint = cache::fingerprint(&hashes);
-    let cache_path = root.join("target").join("silcfm-lint-cache.txt");
-    let previous = cache::load(&cache_path);
-    let prev_hashes = previous.as_ref().map(|c| c.file_hashes.clone());
-
-    let mut report = match previous.filter(|c| !no_cache && c.fingerprint == fingerprint) {
-        Some(hit) => hit.report,
-        None => {
-            let report = match silcfm_lint::lint_workspace(&root) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("silcfm-lint: failed to scan {}: {e}", root.display());
-                    return ExitCode::from(2);
-                }
-            };
-            if no_cache {
-                report
-            } else {
-                let entry = cache::Cache {
-                    fingerprint,
-                    file_hashes: hashes.clone(),
-                    report,
-                };
-                if let Err(e) = cache::store(&cache_path, &entry) {
-                    eprintln!(
-                        "silcfm-lint: could not write cache {}: {e}",
-                        cache_path.display()
-                    );
-                }
-                entry.report
-            }
-        }
-    };
-
-    if changed_only {
-        // The analysis is always whole-workspace (a change anywhere can add
-        // or remove interprocedural findings elsewhere); this only filters
-        // the *display* to files whose bytes differ from the previous run.
-        let prev = prev_hashes.unwrap_or_default();
-        report
-            .findings
-            .retain(|f| hashes.get(&f.path) != prev.get(&f.path));
-    }
 
     if json {
         println!("{}", silcfm_lint::report::json(&report));

@@ -1,11 +1,7 @@
-//! The rule engine: token-pattern rules over one lexed source file.
+//! The rule table, and the token-pattern rules over one lexed source file.
 //!
 //! | ID | Contract | What fires |
 //! |----|----------|------------|
-//! | D1 | determinism | `std::collections::{HashMap,HashSet}` (default SipHash hasher) |
-//! | D2 | determinism | `std::time::{Instant,SystemTime}`, `std::env::{var,var_os,vars}` |
-//! | E1 | fallibility | `.unwrap()` / `.expect(` / `panic!` outside tests in setup/config modules |
-//! | H1 | hermeticity | non-workspace-path dependency in a `Cargo.toml` (see `manifest`) |
 //! | P1 | panic-safety | panic-capable sites reachable from the hot-path seeds (see `interproc`) |
 //! | A1 | allocation | allocation sites reachable from the hot-path seeds (see `interproc`) |
 //! | N1 | determinism | unsorted hash iteration feeding an order-sensitive sink (see `interproc`) |
@@ -16,7 +12,10 @@
 //!
 //! P1/A1/N1/F1 are *interprocedural*: their passes live in
 //! [`crate::interproc`] and run over the workspace call graph; this module
-//! hosts the purely file-local rules.
+//! hosts T1 and the stat-key collectors S1 runs on. The file-local
+//! determinism and fallibility contracts that need no call graph (default
+//! hashers, wall-clock and env reads, unwrap/expect/panic in setup code)
+//! are clippy's job: see the workspace `clippy.toml` and DESIGN.md §8.
 
 use std::ops::Range;
 
@@ -24,36 +23,11 @@ use crate::lexer::{Lexed, Token, TokenKind};
 use crate::Finding;
 
 /// Every rule ID the linter knows, in reporting order.
-pub const RULE_IDS: &[&str] = &[
-    "D1", "D2", "E1", "H1", "P1", "A1", "N1", "F1", "T1", "S1", "X1",
-];
+pub const RULE_IDS: &[&str] = &["P1", "A1", "N1", "F1", "T1", "S1", "X1"];
 
 /// Long-form rationale per rule, shown by `silcfm-lint --explain <RULE>`.
 pub fn explain(rule: &str) -> Option<&'static str> {
     Some(match rule {
-        "D1" => {
-            "D1 (determinism): std's HashMap/HashSet seed SipHash per process, so \
-             iteration order differs between runs and machines. Any order leak — a \
-             stats dump, a tie-break, a work list — breaks bit-identical replays. \
-             Use the workspace FxHashMap/FxHashSet (fixed seed) or a BTreeMap."
-        }
-        "D2" => {
-            "D2 (determinism): wall-clock time (Instant/SystemTime) and environment \
-             reads make a run depend on when/where it executes. Simulated time comes \
-             from the DRAM model's cycle counters; configuration comes from typed \
-             experiment params, never from env vars."
-        }
-        "E1" => {
-            "E1 (fallibility): setup and configuration code (param validation, DRAM \
-             config, experiment drivers, the fault plane) must return typed errors, \
-             not panic — the journaled grid runner reports a bad point and carries \
-             on with the rest of the grid. unwrap/expect/panic! are fine in tests."
-        }
-        "H1" => {
-            "H1 (hermeticity): every dependency must be a workspace path dep. A \
-             registry dependency would break offline builds and tie results to \
-             whatever version resolution picked that day."
-        }
         "P1" => {
             "P1 (panic-safety, interprocedural): no unwrap/expect/panic!/bare \
              indexing anywhere reachable from a hot-path seed (every \
@@ -105,26 +79,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
     })
 }
 
-/// Setup/configuration modules where E1 applies: validation and
-/// construction code that callers invoke before a run starts. A bad knob
-/// must surface as a typed `SilcFmError`, not a panic, so experiment
-/// drivers (and the crash-safe journaled runner in particular) can report
-/// it and carry on with the rest of a grid.
-pub const SETUP_MODULES: &[&str] = &[
-    "crates/dram/src/config.rs",
-    "crates/core/src/params.rs",
-    "crates/sim/src/experiment.rs",
-];
-
-/// Path prefixes (entire crates) in E1 scope. The fault plane is pure
-/// setup-and-schedule code: nothing in it runs on the access hot path.
-pub const SETUP_PREFIXES: &[&str] = &["crates/fault/src/"];
-
-/// Whether E1 applies to this logical path.
-fn setup_scope(path: &str) -> bool {
-    SETUP_MODULES.contains(&path) || SETUP_PREFIXES.iter().any(|p| path.starts_with(p))
-}
-
 /// Rust keywords: identifiers that never name an indexable value, a called
 /// function, or a path segment of interest.
 const KEYWORDS: &[&str] = &[
@@ -138,18 +92,11 @@ pub(crate) fn is_keyword(text: &str) -> bool {
     KEYWORDS.contains(&text)
 }
 
-/// Whether D1/D2/T1 source rules apply to this logical path (forward
-/// slashes). Tooling crates are exempt: the benchmark harness legitimately
-/// reads the wall clock and the linter itself reads the filesystem.
+/// Whether the determinism rules (T1, N1, F1) apply to this logical path
+/// (forward slashes). Tooling crates are exempt: the benchmark harness
+/// legitimately times itself and the linter itself reads the filesystem.
 pub(crate) fn determinism_scope(path: &str) -> bool {
     !path.starts_with("crates/bench/") && !path.starts_with("crates/lint/")
-}
-
-/// Whether D2 applies: the hermetic property harness (`silcfm-types::check`)
-/// is additionally exempt by design (ISSUE 3), as the replay-seed printer
-/// may grow environment hooks.
-fn d2_scope(path: &str) -> bool {
-    determinism_scope(path) && path != "crates/types/src/check.rs"
 }
 
 /// Runs every source-level rule over one lexed file, returning raw
@@ -161,45 +108,6 @@ pub fn lint_tokens(path: &str, lexed: &Lexed) -> Vec<Finding> {
     let test_spans = test_spans(toks);
     let in_test = |line: usize| test_spans.iter().any(|s| s.contains(&line));
 
-    if determinism_scope(path) {
-        scan_paths(toks, |segments, line| {
-            if has_pair(segments, "collections", &["HashMap", "HashSet"]) {
-                findings.push(Finding {
-                    rule: "D1",
-                    path: path.to_string(),
-                    line,
-                    message: format!(
-                        "default-hasher `{}`: SipHash is randomly keyed and its iteration \
-                         order can leak into results",
-                        segments.join("::")
-                    ),
-                    hint: "use `silcfm_types::FxHashMap` / `FxHashSet` (deterministic, faster)"
-                        .to_string(),
-                    chain: Vec::new(),
-                });
-            }
-            if d2_scope(path)
-                && (has_pair(segments, "time", &["Instant", "SystemTime"])
-                    || has_pair(segments, "env", &["var", "var_os", "vars"]))
-            {
-                findings.push(Finding {
-                    rule: "D2",
-                    path: path.to_string(),
-                    line,
-                    message: format!(
-                        "environment-dependent API `{}`: wall-clock and env reads make runs \
-                         unreproducible",
-                        segments.join("::")
-                    ),
-                    hint: "derive behaviour from explicit config/seeds; timing belongs in \
-                           crates/bench"
-                        .to_string(),
-                    chain: Vec::new(),
-                });
-            }
-        });
-    }
-
     // T1 binds shipped simulator code; integration-test and example roots
     // may drive the runner however they like.
     let test_root = ["/tests/", "/examples/", "/benches/"]
@@ -207,10 +115,6 @@ pub fn lint_tokens(path: &str, lexed: &Lexed) -> Vec<Finding> {
         .any(|seg| path.contains(seg));
     if determinism_scope(path) && !test_root && !crate::SANCTIONED_CONCURRENCY.contains(&path) {
         lint_concurrency(path, toks, &mut findings, &in_test);
-    }
-
-    if setup_scope(path) {
-        lint_setup_fallibility(path, toks, &mut findings, &in_test);
     }
 
     findings
@@ -298,55 +202,6 @@ fn lint_concurrency(
     }
 }
 
-// ---- E1: setup fallibility -------------------------------------------------
-
-fn lint_setup_fallibility(
-    path: &str,
-    toks: &[Token],
-    findings: &mut Vec<Finding>,
-    in_test: &dyn Fn(usize) -> bool,
-) {
-    let hint = "return `Result<_, SilcFmError>` so experiment drivers can report the bad \
-                knob and continue the rest of the grid";
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if in_test(t.line) {
-            continue;
-        }
-        if punct(Some(t), '.') {
-            if let Some(name) = toks.get(i + 1) {
-                if name.kind == TokenKind::Ident
-                    && (name.text == "unwrap" || name.text == "expect")
-                    && punct(toks.get(i + 2), '(')
-                {
-                    findings.push(Finding {
-                        rule: "E1",
-                        path: path.to_string(),
-                        line: name.line,
-                        message: format!(
-                            "`.{}(` in setup code turns a bad configuration into a crash",
-                            name.text
-                        ),
-                        hint: hint.to_string(),
-                        chain: Vec::new(),
-                    });
-                }
-            }
-        }
-        if t.kind == TokenKind::Ident && t.text == "panic" && punct(toks.get(i + 1), '!') {
-            findings.push(Finding {
-                rule: "E1",
-                path: path.to_string(),
-                line: t.line,
-                message: "`panic!` in setup code turns a bad configuration into a crash"
-                    .to_string(),
-                hint: hint.to_string(),
-                chain: Vec::new(),
-            });
-        }
-    }
-}
-
 // ---- token-pattern helpers -------------------------------------------------
 
 fn punct(t: Option<&Token>, c: char) -> bool {
@@ -355,89 +210,6 @@ fn punct(t: Option<&Token>, c: char) -> bool {
 
 fn ident(t: Option<&Token>, name: &str) -> bool {
     t.is_some_and(|t| t.kind == TokenKind::Ident && t.text == name)
-}
-
-/// Whether `segments` contains `qualifier` immediately followed by one of
-/// `leaves`.
-fn has_pair(segments: &[String], qualifier: &str, leaves: &[&str]) -> bool {
-    segments
-        .windows(2)
-        .any(|w| w[0] == qualifier && leaves.iter().any(|l| w[1] == *l))
-}
-
-/// Scans `::`-joined paths, including grouped `use` trees
-/// (`use std::collections::{HashMap, HashSet}`), and calls `f` with the
-/// full segment list and the leaf's line for every path leaf.
-fn scan_paths(toks: &[Token], mut f: impl FnMut(&[String], usize)) {
-    let mut i = 0usize;
-    while i < toks.len() {
-        let t = &toks[i];
-        if t.kind == TokenKind::Ident && !is_keyword(&t.text) {
-            // Only start a path at a non-qualified position: skip idents
-            // preceded by `::` (mid-path) or `.` (field/method).
-            let qualified = i >= 2 && punct(toks.get(i - 1), ':') && punct(toks.get(i - 2), ':');
-            let after_dot = i >= 1 && punct(toks.get(i - 1), '.');
-            if !qualified && !after_dot {
-                let mut segments = vec![t.text.clone()];
-                i = walk_path(toks, i + 1, &mut segments, &mut f);
-                if segments.len() > 1 {
-                    f(
-                        &segments,
-                        toks[i.saturating_sub(1).min(toks.len() - 1)].line,
-                    );
-                }
-                continue;
-            }
-        }
-        i += 1;
-    }
-}
-
-/// Continues a path after its first segment; returns the index just past
-/// the path. Recurses into `{...}` use-groups, reporting each leaf.
-fn walk_path(
-    toks: &[Token],
-    mut i: usize,
-    segments: &mut Vec<String>,
-    f: &mut impl FnMut(&[String], usize),
-) -> usize {
-    while punct(toks.get(i), ':') && punct(toks.get(i + 1), ':') {
-        match toks.get(i + 2) {
-            Some(t) if t.kind == TokenKind::Ident && !is_keyword(&t.text) => {
-                segments.push(t.text.clone());
-                i += 3;
-            }
-            Some(t) if t.kind == TokenKind::Punct && t.text == "{" => {
-                // Use-group: each element extends the current prefix.
-                i += 3;
-                let mut depth = 1usize;
-                while i < toks.len() && depth > 0 {
-                    let t = &toks[i];
-                    if t.kind == TokenKind::Punct {
-                        match t.text.as_str() {
-                            "{" => depth += 1,
-                            "}" => depth -= 1,
-                            _ => {}
-                        }
-                        i += 1;
-                        continue;
-                    }
-                    if depth == 1 && t.kind == TokenKind::Ident && !is_keyword(&t.text) {
-                        let mut sub = segments.clone();
-                        sub.push(t.text.clone());
-                        let line = t.line;
-                        i = walk_path(toks, i + 1, &mut sub, f);
-                        f(&sub, line);
-                        continue;
-                    }
-                    i += 1;
-                }
-                return i;
-            }
-            _ => break,
-        }
-    }
-    i
 }
 
 /// Index of the `}` matching the `{` at `open` (or the last token).
@@ -535,48 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn d1_fires_on_plain_and_grouped_imports() {
-        let hits = rules_of(
-            "crates/core/src/lib.rs",
-            "use std::collections::HashMap;\nuse std::collections::{BTreeMap, HashSet};\n",
-        );
-        assert_eq!(hits, vec![("D1", 1), ("D1", 2)]);
-    }
-
-    #[test]
-    fn d1_fires_on_inline_paths_and_spares_fx() {
-        let hits = rules_of(
-            "crates/sim/src/lib.rs",
-            "fn f() { let s = std::collections::HashSet::<u64>::new(); }\n\
-             fn g() { let m = silcfm_types::FxHashMap::<u64, u64>::default(); }\n",
-        );
-        assert_eq!(hits, vec![("D1", 1)]);
-    }
-
-    #[test]
-    fn d2_fires_on_time_and_env() {
-        let hits = rules_of(
-            "crates/sim/src/lib.rs",
-            "use std::time::Instant;\nfn f() { let _ = std::env::var(\"X\"); }\n",
-        );
-        assert_eq!(hits, vec![("D2", 1), ("D2", 2)]);
-    }
-
-    #[test]
-    fn d2_spares_bench_and_check() {
-        assert!(rules_of("crates/bench/src/timing.rs", "use std::time::Instant;").is_empty());
-        assert!(rules_of("crates/types/src/check.rs", "use std::time::Instant;").is_empty());
-        // ... but check.rs is NOT exempt from D1.
-        assert_eq!(
-            rules_of(
-                "crates/types/src/check.rs",
-                "use std::collections::HashSet;"
-            ),
-            vec![("D1", 1)]
-        );
-    }
-
-    #[test]
     fn t1_fires_on_spawns_channels_atomics_and_locks() {
         let src = "fn f() {\n\
                        let h = thread::spawn(|| 1);\n\
@@ -613,33 +343,6 @@ mod tests {
         let src = "fn respawn_lane(x: u64) -> u64 { x }\n\
                    fn g(spawner: u64) -> u64 { respawn_lane(spawner) }\n";
         assert!(rules_of("crates/sim/src/metrics.rs", src).is_empty());
-    }
-
-    #[test]
-    fn e1_fires_in_setup_modules_and_crates() {
-        let src = "fn build(v: Option<u32>) -> u32 { v.unwrap() }\n\
-                   fn check(ok: bool) { if !ok { panic!(\"bad\"); } }\n";
-        assert_eq!(
-            rules_of("crates/dram/src/config.rs", src),
-            vec![("E1", 1), ("E1", 2)]
-        );
-        assert_eq!(
-            rules_of("crates/fault/src/schedule.rs", src),
-            vec![("E1", 1), ("E1", 2)]
-        );
-        // Ordinary simulator code is out of E1 scope.
-        assert!(rules_of("crates/sim/src/runner.rs", src).is_empty());
-    }
-
-    #[test]
-    fn e1_skips_test_modules() {
-        let src = "fn build(v: Option<u32>) -> u32 { v.unwrap_or(0) }\n\
-                   #[cfg(test)]\n\
-                   mod tests {\n\
-                       #[test]\n\
-                       fn t() { assert_eq!(super::build(Some(1)), Some(1).unwrap()); }\n\
-                   }\n";
-        assert!(rules_of("crates/core/src/params.rs", src).is_empty());
     }
 
     #[test]

@@ -3,14 +3,14 @@
 //! and a malformed directive is itself an error (X1).
 //!
 //! Fixtures live in `tests/fixtures/` (not auto-compiled by cargo) and are
-//! linted under *logical* workspace paths so the path-scoped rules (D2's
-//! exemptions, T1's sanctioned modules) behave exactly as in a real run.
+//! linted under *logical* workspace paths so the path-scoped rule (T1's
+//! sanctioned modules) behaves exactly as in a real run.
 //! P1/A1/N1/F1 scope is *derived*: fixtures seed themselves by impling
 //! `MemoryScheme` or naming a parallel entry point, not by their path.
 
 use std::collections::BTreeMap;
 
-use silcfm_lint::{lint_rust_source, lint_sources, manifest, rules, Finding};
+use silcfm_lint::{lint_rust_source, lint_sources, rules, Finding};
 
 /// A representative hot-path module path.
 const HOT: &str = "crates/core/src/controller.rs";
@@ -23,44 +23,6 @@ fn spots(findings: &[Finding], rule: &str) -> Vec<usize> {
         .filter(|f| f.rule == rule)
         .map(|f| f.line)
         .collect()
-}
-
-#[test]
-fn d1_fires_on_default_hasher_imports_and_inline_paths() {
-    let (findings, suppressed) = lint_rust_source(COLD, include_str!("fixtures/d1_bad.rs"));
-    assert_eq!(spots(&findings, "D1"), vec![2, 3, 6], "{findings:#?}");
-    assert_eq!(findings.len(), 3, "only D1 fires: {findings:#?}");
-    assert_eq!(suppressed, 0);
-}
-
-#[test]
-fn d1_is_silenced_by_an_annotated_allow() {
-    let (findings, suppressed) = lint_rust_source(COLD, include_str!("fixtures/d1_suppressed.rs"));
-    assert!(findings.is_empty(), "{findings:#?}");
-    assert_eq!(suppressed, 1);
-}
-
-#[test]
-fn d2_fires_on_wall_clock_and_env_reads() {
-    let (findings, suppressed) = lint_rust_source(COLD, include_str!("fixtures/d2_bad.rs"));
-    assert_eq!(spots(&findings, "D2"), vec![2, 5, 8, 9], "{findings:#?}");
-    assert_eq!(suppressed, 0);
-}
-
-#[test]
-fn d2_is_exempt_in_the_bench_and_check_sandboxes() {
-    let src = include_str!("fixtures/d2_bad.rs");
-    for exempt in ["crates/bench/src/main.rs", "crates/types/src/check.rs"] {
-        let (findings, _) = lint_rust_source(exempt, src);
-        assert!(findings.is_empty(), "{exempt}: {findings:#?}");
-    }
-}
-
-#[test]
-fn d2_is_silenced_file_wide() {
-    let (findings, suppressed) = lint_rust_source(COLD, include_str!("fixtures/d2_suppressed.rs"));
-    assert!(findings.is_empty(), "{findings:#?}");
-    assert_eq!(suppressed, 2, "both the Instant import and the env read");
 }
 
 #[test]
@@ -88,33 +50,6 @@ fn p1_applies_only_to_fns_reachable_from_a_declared_seed() {
 #[test]
 fn p1_is_silenced_by_a_directive_on_the_line_above() {
     let (findings, suppressed) = lint_rust_source(HOT, include_str!("fixtures/p1_suppressed.rs"));
-    assert!(findings.is_empty(), "{findings:#?}");
-    assert_eq!(suppressed, 1);
-}
-
-#[test]
-fn e1_fires_on_panicking_setup_code() {
-    let (findings, suppressed) = lint_rust_source(
-        "crates/dram/src/config.rs",
-        include_str!("fixtures/e1_bad.rs"),
-    );
-    assert_eq!(spots(&findings, "E1"), vec![3, 4, 6], "{findings:#?}");
-    assert_eq!(findings.len(), 3, "only E1 fires: {findings:#?}");
-    assert_eq!(suppressed, 0);
-}
-
-#[test]
-fn e1_does_not_apply_outside_setup_modules() {
-    let (findings, _) = lint_rust_source(COLD, include_str!("fixtures/e1_bad.rs"));
-    assert!(findings.is_empty(), "{findings:#?}");
-}
-
-#[test]
-fn e1_is_silenced_by_an_annotated_allow() {
-    let (findings, suppressed) = lint_rust_source(
-        "crates/fault/src/schedule.rs",
-        include_str!("fixtures/e1_suppressed.rs"),
-    );
     assert!(findings.is_empty(), "{findings:#?}");
     assert_eq!(suppressed, 1);
 }
@@ -259,30 +194,6 @@ fn t1_fires_suppresses_and_spares_the_sanctioned_modules() {
 }
 
 #[test]
-fn h1_fires_on_registry_dependencies_in_every_section() {
-    let (raw, allows) = manifest::lint_manifest(
-        "crates/fixture/Cargo.toml",
-        include_str!("fixtures/h1_bad.toml"),
-    );
-    let (findings, suppressed) = silcfm_lint::directives::apply(raw, &allows);
-    // serde (7), rand (9), proptest (12), and the `[dependencies.regex]`
-    // section form (14); the path dep silcfm-types (8) is clean.
-    assert_eq!(spots(&findings, "H1"), vec![7, 9, 12, 14], "{findings:#?}");
-    assert_eq!(suppressed, 0);
-}
-
-#[test]
-fn h1_is_silenced_by_a_toml_comment_directive() {
-    let (raw, allows) = manifest::lint_manifest(
-        "crates/fixture/Cargo.toml",
-        include_str!("fixtures/h1_suppressed.toml"),
-    );
-    let (findings, suppressed) = silcfm_lint::directives::apply(raw, &allows);
-    assert!(findings.is_empty(), "{findings:#?}");
-    assert_eq!(suppressed, 1);
-}
-
-#[test]
 fn s1_catches_duplicate_and_unregistered_keys_and_dead_registry_entries() {
     let lexed = silcfm_lint::lexer::lex(include_str!("fixtures/s1_bad.rs"));
     let mut keys = BTreeMap::new();
@@ -374,16 +285,21 @@ fn s1_audits_the_series_sink_and_the_obs_namespace() {
 #[test]
 fn x1_flags_every_malformed_directive_and_is_not_suppressible() {
     let (findings, suppressed) = lint_rust_source(COLD, include_str!("fixtures/x1_malformed.rs"));
-    // Missing reason, empty reason, unknown rule, empty rule list, and an
-    // unknown verb — one X1 per directive, none silenceable.
-    assert_eq!(spots(&findings, "X1"), vec![2, 3, 4, 5, 6], "{findings:#?}");
+    // Missing reason, empty reason, unknown rule, empty rule list, an
+    // unknown verb, and the four IDs that moved to clippy.toml and the
+    // lockfile test — one X1 per directive, none silenceable.
+    assert_eq!(
+        spots(&findings, "X1"),
+        vec![2, 3, 4, 5, 6, 7, 8, 9, 10],
+        "{findings:#?}"
+    );
     assert_eq!(suppressed, 0);
 }
 
 #[test]
 fn x1_survives_a_file_wide_allow() {
-    let src = "// silcfm-lint: allow-file(D1, X1) -- trying to silence the police\n\
-               // silcfm-lint: allow(D1)\n";
+    let src = "// silcfm-lint: allow-file(T1, X1) -- trying to silence the police\n\
+               // silcfm-lint: allow(T1)\n";
     let (findings, _) = lint_rust_source(COLD, src);
     assert_eq!(spots(&findings, "X1"), vec![2], "{findings:#?}");
 }

@@ -8,8 +8,8 @@
 //!    disjoint and ordered), so span-based scoping never misattributes a
 //!    token to the wrong function;
 //! 3. pretty-printing a tree and re-parsing it is **span-stable** — the
-//!    printer/parser pair agrees on item structure, so cached analysis
-//!    keyed on token spans stays valid across formatting churn.
+//!    printer/parser pair agrees on item structure, so span-based scoping
+//!    is stable across formatting churn.
 //!
 //! Generated cases use the fixed-seed harness from `silcfm_types::check`,
 //! same style as the rest of the workspace's property tests.

@@ -3,7 +3,7 @@
 //! Exists to *validate* the simulator's own exports — the `trace_check`
 //! binary parses emitted Chrome traces and asserts their shape — so it
 //! favors clarity over speed and keeps object fields in declaration order
-//! (deterministic, and no hash maps per lint D1).
+//! (deterministic, and no default-hasher maps per the workspace `clippy.toml`).
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -28,7 +28,7 @@
 //!   `trace_check` validator binary (the workspace is dependency-free).
 //!
 //! Everything here is deterministic: timestamps are simulation cycles
-//! (never wall clock, per lint D2) and exporters format floats with fixed
+//! (never wall clock, per the workspace `clippy.toml`) and exporters format floats with fixed
 //! precision, so identical seeds produce byte-identical artifacts across
 //! hosts and across serial/parallel runs.
 

@@ -1,6 +1,8 @@
 //! Experiment plumbing: scheme factory, run parameters, and [`run_spec`],
 //! the one entry point every simulation goes through.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use silcfm_baselines::{Cameo, CameoParams, Hma, HmaParams, Pom, PomParams, RandomStatic};
 use silcfm_core::{SilcFm, SilcFmParams};
 use silcfm_dram::DramConfig;
@@ -565,6 +567,10 @@ impl Prologue<'_> {
 
 /// Simulates `scheme` on `profile` untraced, fault-free and serially:
 /// [`run_spec`] with the default [`RunSpec`].
+#[allow(
+    clippy::expect_used,
+    reason = "the default spec arms no faults, the only fallible input"
+)]
 pub fn run(
     profile: &WorkloadProfile,
     scheme: SchemeKind,
@@ -572,7 +578,6 @@ pub fn run(
     params: &RunParams,
 ) -> RunResult {
     run_spec(profile, scheme, cfg, params, &RunSpec::default())
-        // silcfm-lint: allow(E1) -- the default spec arms no faults, the only fallible input
         .expect("a fault-free run cannot fail")
         .result
 }
@@ -590,10 +595,15 @@ pub fn run_sharded(
         engine: Engine::Sharded(*shard),
         ..RunSpec::default()
     };
-    let out = run_spec(profile, scheme, cfg, params, &spec)
-        // silcfm-lint: allow(E1) -- the spec arms no faults, the only fallible input
-        .expect("a fault-free run cannot fail");
-    // silcfm-lint: allow(E1) -- the sharded engine always reports its merge
+    #[allow(
+        clippy::expect_used,
+        reason = "the spec arms no faults, the only fallible input"
+    )]
+    let out = run_spec(profile, scheme, cfg, params, &spec).expect("a fault-free run cannot fail");
+    #[allow(
+        clippy::expect_used,
+        reason = "the sharded engine always reports its merge"
+    )]
     let report = out.shard.expect("a sharded run reports its merge");
     (out.result, report)
 }

@@ -160,8 +160,12 @@ impl ExperimentGrid {
 
 /// Number of worker threads to use by default: the `SILCFM_THREADS`
 /// environment variable if set, else the machine's available parallelism.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "explicit operator knob; thread count cannot change results \
+              (sharded runner is bit-identical at any width, see tests)"
+)]
 pub fn default_threads() -> usize {
-    // silcfm-lint: allow(D2) -- explicit operator knob; thread count cannot change results (sharded runner is bit-identical at any width, see tests)
     std::env::var("SILCFM_THREADS")
         .ok()
         .and_then(|v| v.parse().ok())

@@ -13,8 +13,6 @@
 //! depends on map ordering must impose a total order itself (as
 //! `Hma::epoch_boundary` does by sorting candidates).
 
-// silcfm-lint: allow(D1) -- this module defines the sanctioned aliases: the std containers are re-exported with the deterministic FxHasher substituted
-use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiplier from the FxHash family: a random-ish odd 64-bit constant with
@@ -86,10 +84,18 @@ impl Hasher for FxHasher {
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` hashed with [`FxHasher`].
-pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
+#[allow(
+    clippy::disallowed_types,
+    reason = "the sanctioned alias: std's HashMap with the deterministic FxHasher substituted"
+)]
+pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 /// A `HashSet` hashed with [`FxHasher`].
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
+#[allow(
+    clippy::disallowed_types,
+    reason = "the sanctioned alias: std's HashSet with the deterministic FxHasher substituted"
+)]
+pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
 #[cfg(test)]
 mod tests {

@@ -9,9 +9,6 @@
 //! `SILCFM_THREADS` or the machine) — and prints both wall-clock times
 //! along with a check that the two paths produced identical results.
 
-// silcfm-lint: allow-file(D2) -- a demo binary that *reports* wall-clock speedup; timing is its output, not an input to any simulated result
-use std::time::Instant;
-
 use silc_fm::obs::{Align, TextTable};
 use silc_fm::sim::{
     run_grid, run_grid_serial, ExperimentGrid, RunParams, RunSpec, SchemeKind, Tier, TraceParams,
@@ -19,6 +16,12 @@ use silc_fm::sim::{
 use silc_fm::trace::profiles;
 use silc_fm::types::SystemConfig;
 
+#[allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "a demo binary that *reports* wall-clock speedup; timing is its output, \
+              not an input to any simulated result"
+)]
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "lib".to_string());
     let Some(workload) = profiles::by_name(&name) else {
@@ -36,14 +39,14 @@ fn main() {
         .schemes(SchemeKind::fig7_lineup())
         .jobs();
 
-    let t0 = Instant::now();
+    let t0 = std::time::Instant::now();
     let serial = run_grid_serial(&jobs);
     let serial_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     // The traced grid also collects the latency-percentile plane; its
     // RunResults are bit-identical to the untraced serial pass (checked
     // below), so timing and the tail columns come from one run.
-    let t1 = Instant::now();
+    let t1 = std::time::Instant::now();
     let spec = RunSpec {
         tier: Tier::Ring,
         trace: TraceParams {

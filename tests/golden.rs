@@ -92,7 +92,11 @@ fn golden_stats_snapshot() {
         "parallel runner digest diverged from the serial path"
     );
 
-    // silcfm-lint: allow(D2) -- BLESS is the sanctioned snapshot-regeneration switch; it rewrites the golden file, never the simulated results
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "BLESS is the sanctioned snapshot-regeneration switch; \
+                  it rewrites the golden file, never the simulated results"
+    )]
     if std::env::var("BLESS").is_ok() {
         std::fs::write(GOLDEN_PATH, &actual).expect("write golden snapshot");
         return;
@@ -126,7 +130,11 @@ fn golden_stats_snapshot() {
 fn sharded_digests_match_the_committed_snapshot_at_any_thread_count() {
     use silc_fm::sim::{run_sharded, ShardParams};
 
-    // silcfm-lint: allow(D2) -- during a BLESS re-snapshot the committed file is mid-rewrite by the snapshot test; this check reruns on the next ordinary test pass
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "during a BLESS re-snapshot the committed file is mid-rewrite by the \
+                  snapshot test; this check reruns on the next ordinary test pass"
+    )]
     if std::env::var("BLESS").is_ok() {
         return;
     }
