@@ -567,7 +567,7 @@ fn journaled_grid(opts: &Opts, path: &PathBuf, violations: &mut Vec<String>) {
         println!("journal: job {index} done ({appended} this process)");
         if Some(appended) == die_after {
             // A torn tail: half a record, no newline — what a kill -9 in
-            // the middle of a write leaves behind. resume() must discard it.
+            // the middle of a write leaves behind. Journal::resume must discard it.
             if let Ok(mut f) = std::fs::OpenOptions::new().append(true).open(path) {
                 let _ = f.write_all(b"job 1 silcfm");
             }

@@ -42,8 +42,8 @@ use std::path::Path;
 
 use silcfm_fault::FaultRates;
 use silcfm_serve::{
-    journal, run_serve, search_digest, Aimd, AimdParams, ServeParams, ServeReport,
-    SloJournalWriter, TrialRecord,
+    run_searches, run_serve, search_digest, AimdParams, ServeParams, ServeReport, SloJournal,
+    TrialRecord,
 };
 use silcfm_sim::{FaultParams, RunParams, SchemeKind, ShardParams};
 use silcfm_trace::arrivals::{self, ArrivalProfile};
@@ -382,85 +382,69 @@ fn main() {
         params.seed, params.accesses_per_core, cfg.core.cores
     );
     let digest = search_digest(&spec_text);
-    let (mut writer, replayed) = match (&opts.journal, opts.resume) {
+    let (mut journal, replayed) = match (&opts.journal, opts.resume) {
         (Some(p), true) => {
-            let (w, done) = journal::resume(Path::new(p), digest).expect("resume SLO journal");
+            let (j, done) = SloJournal::resume(Path::new(p), digest).expect("resume SLO journal");
             println!("slo: resumed {} finished trials from {p}", done.len());
-            (Some(w), done)
+            (Some(j), done)
         }
         (Some(p), false) => (
-            Some(SloJournalWriter::create(Path::new(p), digest).expect("create SLO journal")),
+            Some(SloJournal::create(Path::new(p), digest).expect("create SLO journal")),
             Vec::new(),
         ),
         (None, _) => (None, Vec::new()),
     };
 
     let mut live_done = 0usize;
-    let mut summaries: Vec<SearchSummary> = Vec::new();
-    for (si, spec) in searches.iter().enumerate() {
-        let mut aimd = Aimd::new(aimd_params);
-        let mut trials = Vec::new();
-        for r in replayed.iter().filter(|r| r.search == si) {
-            assert_eq!(r.trial, aimd.observed(), "journal trials out of order");
-            assert_eq!(
-                r.rate,
-                aimd.rate(),
-                "journaled rate diverges from the replayed regulator"
-            );
-            aimd.observe(r.met);
-            trials.push(*r);
-        }
-        while !aimd.done() {
-            let rate = aimd.rate();
+    let outcomes = run_searches(
+        &searches,
+        aimd_params,
+        &replayed,
+        journal.as_mut(),
+        |spec, rate| {
             let report = run_trial(spec, rate, &ctx, 1);
             let met = report.slo_met(&serve, MIN_GOODPUT);
-            let rec = TrialRecord {
-                search: si,
-                trial: aimd.observed(),
-                rate,
-                ledger: report.stats.ledger,
-                p99: report.stats.p99(),
-                met,
-            };
-            if let Some(w) = writer.as_mut() {
-                w.append(&rec).expect("append SLO journal");
-            }
+            (report.stats.ledger, report.stats.p99(), met)
+        },
+        |spec, rec| {
             println!(
                 "slo: {}/{} trial {} rate={} p99={} goodput={:.3} shed={:.3} met={}",
                 spec.scheme.label(),
                 spec.arrival.name,
                 rec.trial,
-                rate,
+                rec.rate,
                 rec.p99,
                 rec.ledger.goodput(),
                 rec.ledger.shed_rate(),
-                met
+                rec.met
             );
-            aimd.observe(met);
-            trials.push(rec);
             live_done += 1;
             if opts.die_after_trials == Some(live_done) {
                 // Simulate a crash mid-append: leave a torn (newline-less)
                 // record on the journal tail and die with the chaos
                 // harness's crash exit code.
-                drop(writer.take());
                 let path = opts.journal.as_ref().expect("checked in parse_args");
                 use std::io::Write as _;
                 let mut f = std::fs::OpenOptions::new()
                     .append(true)
                     .open(path)
                     .expect("reopen journal for crash injection");
-                write!(f, "trial {si} 9 1").expect("write torn tail");
+                write!(f, "trial {} 9 1", rec.search).expect("write torn tail");
                 eprintln!("slo: dying after {live_done} live trials (torn journal tail)");
                 std::process::exit(3);
             }
-        }
-        summaries.push(SearchSummary {
+        },
+    )
+    .expect("SLO search journal");
+    let summaries: Vec<SearchSummary> = searches
+        .iter()
+        .zip(outcomes)
+        .map(|(spec, (best, trials))| SearchSummary {
             spec: *spec,
-            best: aimd.best_ok(),
+            best,
             trials,
-        });
-    }
+        })
+        .collect();
 
     println!(
         "\n{:8} {:8} {:>10} {:>10} {:>9} {:>9} {:>9}",

@@ -12,10 +12,8 @@
 pub mod timing;
 
 use silcfm_sim::runner::{default_threads, run_grid, ExperimentGrid, Job};
-use silcfm_sim::{run, RunParams, RunResult, RunSpec, SchemeKind};
+use silcfm_sim::{RunParams, RunResult, RunSpec, SchemeKind};
 use silcfm_trace::profiles;
-use silcfm_trace::profiles::WorkloadProfile;
-use silcfm_types::stats::geometric_mean;
 use silcfm_types::SystemConfig;
 
 /// Harness options parsed from the command line.
@@ -55,11 +53,6 @@ impl HarnessOpts {
 /// LLC miniaturized alongside the workload footprints; see DESIGN.md).
 pub fn experiment_config() -> SystemConfig {
     SystemConfig::experiment()
-}
-
-/// Runs one (workload, scheme) pair under the harness configuration.
-pub fn run_one(profile: &WorkloadProfile, kind: SchemeKind, params: &RunParams) -> RunResult {
-    run(profile, kind, &experiment_config(), params)
 }
 
 /// Runs the full (workload × scheme) grid across the worker pool and
@@ -107,23 +100,6 @@ fn run_rows(jobs: &[Job], per_row: usize) -> Vec<Vec<RunResult>> {
     flat.chunks(per_row.max(1))
         .map(<[RunResult]>::to_vec)
         .collect()
-}
-
-/// Speedups of `kind` over the no-NM baseline for every Table III workload.
-/// Returns `(per-workload speedups in profile order, geometric mean)`;
-/// `baselines` must hold the no-NM run of each workload in the same order.
-pub fn speedups_vs(
-    kind: SchemeKind,
-    baselines: &[RunResult],
-    params: &RunParams,
-) -> (Vec<f64>, f64) {
-    let results = run_matrix(&[kind], params);
-    let mut speedups = Vec::with_capacity(baselines.len());
-    for (row, base) in results.iter().zip(baselines) {
-        speedups.push(row[0].speedup_over(base));
-    }
-    let gmean = geometric_mean(&speedups);
-    (speedups, gmean)
 }
 
 /// No-NM baseline runs for all workloads, in `profiles::all()` order.

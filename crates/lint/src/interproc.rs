@@ -85,15 +85,52 @@ const FLOAT_REDUCERS: &[&str] = &["sum", "product", "fold"];
 
 /// Runs every graph-based pass over a built workspace. `check_config`
 /// additionally audits the analyzer's own configuration (stale
-/// [`crate::AMORTIZED_BOUNDARIES`] entries become X1); that only makes
-/// sense when linting the full tree, not a fixture subset.
+/// [`crate::AMORTIZED_BOUNDARIES`] entries and listed paths matching no
+/// file become X1); that only makes sense when linting the full tree, not a
+/// fixture subset.
 pub fn lint_graph(ws: &Workspace, check_config: bool) -> Vec<Finding> {
     let graph = callgraph::build(ws);
     let mut findings = Vec::new();
     hot_path_pass(ws, &graph, check_config, &mut findings);
     order_taint_pass(ws, &graph, &mut findings);
     float_merge_pass(ws, &graph, &mut findings);
+    if check_config {
+        stale_paths(ws, &mut findings);
+    }
     findings
+}
+
+/// Reports each [`crate::ORDER_SINK_FILES`] and
+/// [`crate::SANCTIONED_CONCURRENCY`] path that matches no workspace file as
+/// X1: a renamed or deleted file would otherwise drop out of N1/T1
+/// coverage without any finding.
+fn stale_paths(ws: &Workspace, findings: &mut Vec<Finding>) {
+    let lists = [
+        ("ORDER_SINK_FILES", crate::ORDER_SINK_FILES),
+        ("SANCTIONED_CONCURRENCY", crate::SANCTIONED_CONCURRENCY),
+    ];
+    for (list, paths) in lists {
+        for path in paths {
+            if !ws.files.iter().any(|f| f.path == *path) {
+                findings.push(config_error(
+                    format!("{list} entry `{path}` matches no workspace file"),
+                    "remove the stale path or point it at the file's new location",
+                ));
+            }
+        }
+    }
+}
+
+/// An X1 finding against the analyzer's own configuration in `lib.rs`.
+fn config_error(message: String, hint: &str) -> Finding {
+    Finding {
+        rule: "X1",
+        path: "crates/lint/src/lib.rs".to_string(),
+        line: 1,
+        message,
+        hint: hint.to_string(),
+        chain: Vec::new(),
+    }
 }
 
 /// Resolves the declared seeds to concrete fns. Test-gated fns and fns in
@@ -151,16 +188,10 @@ pub fn boundary_fns(
             .filter(|&id| ws.qualified_name(id) == *qualified)
             .collect();
         if matches.is_empty() && report_stale {
-            findings.push(Finding {
-                rule: "X1",
-                path: "crates/lint/src/lib.rs".to_string(),
-                line: 1,
-                message: format!(
-                    "AMORTIZED_BOUNDARIES entry `{qualified}` matches no workspace fn"
-                ),
-                hint: "remove the stale boundary or fix the qualified name".to_string(),
-                chain: Vec::new(),
-            });
+            findings.push(config_error(
+                format!("AMORTIZED_BOUNDARIES entry `{qualified}` matches no workspace fn"),
+                "remove the stale boundary or fix the qualified name",
+            ));
         }
         out.extend(matches);
     }
@@ -872,6 +903,34 @@ mod tests {
         );
         // Without check_config (fixture mode) the same workspace is clean.
         assert!(lint_graph(&ws, false).is_empty());
+    }
+
+    #[test]
+    fn stale_listed_paths_are_a_config_error_under_check_config() {
+        let stale = |owned: &[(String, String)]| -> Vec<String> {
+            let ws = Workspace::build(owned, &BTreeMap::new());
+            let messages = lint_graph(&ws, true).into_iter().map(|f| f.message);
+            messages
+                .filter(|m| m.contains("no workspace file"))
+                .collect()
+        };
+        let listed: Vec<(String, String)> = crate::ORDER_SINK_FILES
+            .iter()
+            .chain(crate::SANCTIONED_CONCURRENCY)
+            .map(|p| (p.to_string(), String::new()))
+            .collect();
+        assert!(stale(&listed).is_empty(), "{:#?}", stale(&listed));
+        // Moving one file of each list away must surface both as X1.
+        let moved = ["crates/serve/src/journal.rs", "crates/sim/src/runner.rs"];
+        let rest: Vec<(String, String)> = listed
+            .into_iter()
+            .filter(|(p, _)| !moved.contains(&p.as_str()))
+            .collect();
+        let found = stale(&rest);
+        assert_eq!(found.len(), moved.len(), "{found:#?}");
+        for path in moved {
+            assert!(found.iter().any(|m| m.contains(path)), "{found:#?}");
+        }
     }
 
     #[test]

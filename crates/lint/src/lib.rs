@@ -139,7 +139,8 @@ pub const ORDER_SINK_FNS: &[&str] = &["merge", "digest", "grid_digest"];
 /// Order-sensitive sink *files* (N1): every fn in them serializes or
 /// folds — crash-journal encoding, the export formatters, and the
 /// quantile sketches (whose merges must be order-invariant to the byte
-/// for the sharded/journaled percentile plane, DESIGN.md §14).
+/// for the sharded/journaled percentile plane, DESIGN.md §14). A path
+/// matching no file is an X1 error.
 pub const ORDER_SINK_FILES: &[&str] = &[
     "crates/sim/src/journal.rs",
     "crates/serve/src/journal.rs",
@@ -157,6 +158,7 @@ pub const MERGE_FN_MARKERS: &[&str] = &["merge", "aggregate", "reduce", "accumul
 /// The only modules allowed to spawn threads, pass channels, or touch
 /// atomics/locks (T1): the epoch-barrier shard runner and the grid runner.
 /// Concurrency anywhere else bypasses the deterministic-merge protocol.
+/// A path matching no file is an X1 error.
 pub const SANCTIONED_CONCURRENCY: &[&str] =
     &["crates/sim/src/shard.rs", "crates/sim/src/runner.rs"];
 

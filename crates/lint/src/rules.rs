@@ -73,7 +73,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
             "X1 (tooling): the linter's own inputs are malformed — an unparseable \
              suppression directive, an unknown rule ID in allow(...), or a stale \
              analyzer-scope constant (e.g. an AMORTIZED_BOUNDARIES entry matching \
-             no fn). X1 is not suppressible; fix the directive or the constant."
+             no fn, or an ORDER_SINK_FILES path matching no file). X1 is not suppressible; fix the directive or the constant."
         }
         _ => return None,
     })

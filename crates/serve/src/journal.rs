@@ -4,31 +4,33 @@
 //! prior trial's verdict. A killed search therefore cannot resume from
 //! anywhere but an exact replay — so the journal records, per finished
 //! trial, the offered rate, the full conservation ledger, the p99 and the
-//! SLO verdict. On resume the recorded verdicts are fed back through fresh
-//! regulators in order, which reconstructs the exact regulator state (the
-//! regulator is a pure state machine over its observations) and the search
-//! continues byte-identically to an uninterrupted run.
+//! SLO verdict. On resume [`run_searches`] feeds the recorded verdicts back
+//! through fresh regulators in order, which reconstructs the exact
+//! regulator state (the regulator is a pure state machine over its
+//! observations), and the search continues byte-identically to an
+//! uninterrupted run.
 //!
-//! Format, one line per record:
+//! The file is a [`silcfm_sim::journal::Journal`] (header check, flushed
+//! appends, torn-tail heal, interior corruption an error) of
+//! [`TrialRecord`] lines:
 //!
 //! * header `silcfm-slo-journal v1 grid=<hex>`, binding the journal to one
 //!   search grid (schemes × arrival profiles × parameters);
 //! * `trial <search> <trial> <rate> <offered> <admitted> <completed>
 //!   <shed> <timed_out> <failed> <retries> <p99> <met>` per finished
-//!   trial, appended and flushed before the next trial starts.
-//!
-//! The reader follows the workspace journal contract (`sim::journal`): a
-//! torn final line is a crash artifact and is healed away with `set_len`;
-//! a malformed interior line is corruption and an error.
+//!   trial, appended before the next trial starts.
 
-use std::fs::{File, OpenOptions};
+use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
-use std::io::{BufWriter, Read as _, Write as _};
-use std::path::Path;
 
+use silcfm_sim::journal::{Fields, Journal, Record};
 use silcfm_types::{FxHasher, SilcFmError};
 
 use crate::ledger::RequestLedger;
+use crate::regulator::{Aimd, AimdParams};
+
+/// The SLO search's journal.
+pub type SloJournal = Journal<TrialRecord>;
 
 /// Digest binding a journal to one search grid. Hash the search's full
 /// configuration rendering (schemes, arrival profiles, rates, serve and
@@ -57,254 +59,126 @@ pub struct TrialRecord {
     pub met: bool,
 }
 
-fn encode(r: &TrialRecord) -> String {
-    let l = &r.ledger;
-    format!(
-        "trial {} {} {} {} {} {} {} {} {} {} {} {}",
-        r.search,
-        r.trial,
-        r.rate,
-        l.offered,
-        l.admitted,
-        l.completed,
-        l.shed,
-        l.timed_out,
-        l.failed,
-        l.retries,
-        r.p99,
-        u8::from(r.met),
-    )
-}
+impl Record for TrialRecord {
+    const MAGIC: &'static str = "silcfm-slo-journal";
+    const TAG: &'static str = "trial";
 
-/// Parses one `trial` line (sans the leading token). `None` on any
-/// shortfall — torn tail or corruption, the caller's call.
-fn decode(tokens: &[&str]) -> Option<TrialRecord> {
-    let mut it = tokens.iter();
-    let mut int = || it.next()?.parse::<u64>().ok();
-    let search = int()? as usize;
-    let trial = int()? as u32;
-    let rate = int()?;
-    let ledger = RequestLedger {
-        offered: int()?,
-        admitted: int()?,
-        completed: int()?,
-        shed: int()?,
-        timed_out: int()?,
-        failed: int()?,
-        retries: int()?,
-    };
-    let p99 = int()?;
-    let met = match int()? {
-        0 => false,
-        1 => true,
-        _ => return None,
-    };
-    if it.next().is_some() {
-        return None; // trailing junk: treat as malformed
-    }
-    Some(TrialRecord {
-        search,
-        trial,
-        rate,
-        ledger,
-        p99,
-        met,
-    })
-}
-
-fn header_line(digest: u64) -> String {
-    format!("silcfm-slo-journal v1 grid={digest:016x}")
-}
-
-/// The write side: created fresh or reopened by [`resume`], appends one
-/// flushed line per finished trial.
-#[derive(Debug)]
-pub struct SloJournalWriter {
-    out: BufWriter<File>,
-}
-
-impl SloJournalWriter {
-    /// Creates (truncating) a journal for a search grid and writes the
-    /// header.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SilcFmError::Journal`] on any I/O failure.
-    pub fn create(path: &Path, digest: u64) -> Result<Self, SilcFmError> {
-        let file = File::create(path)?;
-        let mut out = BufWriter::new(file);
-        writeln!(out, "{}", header_line(digest))?;
-        out.flush()?;
-        Ok(Self { out })
+    fn encode(&self, line: &mut String) {
+        let l = &self.ledger;
+        let _ = write!(
+            line,
+            " {} {} {} {} {} {} {} {} {} {} {} {}",
+            self.search,
+            self.trial,
+            self.rate,
+            l.offered,
+            l.admitted,
+            l.completed,
+            l.shed,
+            l.timed_out,
+            l.failed,
+            l.retries,
+            self.p99,
+            u8::from(self.met),
+        );
     }
 
-    /// Appends one finished trial and flushes, so a crash after this call
-    /// never loses the record.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SilcFmError::Journal`] on any I/O failure.
-    pub fn append(&mut self, record: &TrialRecord) -> Result<(), SilcFmError> {
-        writeln!(self.out, "{}", encode(record))?;
-        self.out.flush()?;
-        Ok(())
+    fn decode(f: &mut Fields<'_>) -> Option<Self> {
+        Some(Self {
+            search: usize::try_from(f.u64()?).ok()?,
+            trial: u32::try_from(f.u64()?).ok()?,
+            rate: f.u64()?,
+            ledger: RequestLedger {
+                offered: f.u64()?,
+                admitted: f.u64()?,
+                completed: f.u64()?,
+                shed: f.u64()?,
+                timed_out: f.u64()?,
+                failed: f.u64()?,
+                retries: f.u64()?,
+            },
+            p99: f.u64()?,
+            met: match f.u64()? {
+                0 => false,
+                1 => true,
+                _ => return None,
+            },
+        })
     }
 }
 
-/// Reads a journal back: validates the header against `digest`, returns
-/// the finished trials in append order, heals a torn tail with `set_len`,
-/// and reopens the file for appending.
+/// Runs one AIMD search per entry of `searches`, in order, and returns
+/// each search's best compliant rate and its trials.
+///
+/// Search `i` first replays the `replayed` records with `search == i`
+/// (the trials a killed run already journaled) through a fresh regulator,
+/// then runs live trials until the budget in `params` is spent:
+/// `trial(spec, rate)` returns the trial's `(ledger, p99, met)`, the record
+/// is appended to `journal`, and `on_trial(spec, record)` sees it.
 ///
 /// # Errors
 ///
-/// Returns [`SilcFmError::Journal`] when the file is unreadable, the
-/// header names a different search grid, or an interior line is malformed.
-pub fn resume(
-    path: &Path,
-    digest: u64,
-) -> Result<(SloJournalWriter, Vec<TrialRecord>), SilcFmError> {
-    let mut text = String::new();
-    File::open(path)?.read_to_string(&mut text)?;
-    // Bytes past the last newline are the in-flight record of a crash.
-    let complete_up_to = text.rfind('\n').map_or(0, |i| i + 1);
-    let body = &text[..complete_up_to];
-    let header_end = body
-        .find('\n')
-        .map(|i| i + 1)
-        .ok_or_else(|| SilcFmError::journal("SLO journal is empty (no header line)"))?;
-    let header = body[..header_end].trim_end();
-    if header != header_line(digest) {
-        return Err(SilcFmError::journal(format!(
-            "SLO journal belongs to a different search grid: found {header:?}, expected {:?}",
-            header_line(digest)
-        )));
-    }
-    let mut done = Vec::new();
-    let mut valid_up_to = header_end;
-    let mut offset = header_end;
-    let mut rest = body[header_end..].split_inclusive('\n').peekable();
-    while let Some(raw) = rest.next() {
-        let line = raw.trim_end_matches('\n');
-        let tokens: Vec<&str> = line.split_whitespace().collect();
-        let parsed = match tokens.split_first() {
-            Some((&"trial", fields)) => decode(fields),
-            _ => None,
-        };
-        offset += raw.len();
-        match parsed {
-            Some(record) => {
-                done.push(record);
-                valid_up_to = offset;
-            }
-            // A malformed *last* line can be a crash artifact and is
-            // dropped; a malformed interior line means corruption.
-            None if rest.peek().is_none() => break,
-            None => {
+/// Returns [`SilcFmError::Journal`] when a replayed record is out of order
+/// or at a rate the regulator would not offer (a journal that does not
+/// belong to this search), or when an append fails.
+pub fn run_searches<S>(
+    searches: &[S],
+    params: AimdParams,
+    replayed: &[TrialRecord],
+    mut journal: Option<&mut SloJournal>,
+    mut trial: impl FnMut(&S, u64) -> (RequestLedger, u64, bool),
+    mut on_trial: impl FnMut(&S, &TrialRecord),
+) -> Result<Vec<(u64, Vec<TrialRecord>)>, SilcFmError> {
+    let mut out = Vec::with_capacity(searches.len());
+    for (search, spec) in searches.iter().enumerate() {
+        let mut aimd = Aimd::new(params);
+        let mut trials = Vec::new();
+        for r in replayed.iter().filter(|r| r.search == search) {
+            let (next, rate) = (aimd.observed(), aimd.rate());
+            if aimd.done() || r.trial != next || r.rate != rate {
                 return Err(SilcFmError::journal(format!(
-                    "malformed SLO journal line: {line:?}"
-                )))
+                    "replayed {r:?} diverges from the regulator (next trial {next} at rate {rate})"
+                )));
             }
+            aimd.observe(r.met);
+            trials.push(*r);
         }
+        while !aimd.done() {
+            let rate = aimd.rate();
+            let (ledger, p99, met) = trial(spec, rate);
+            let record = TrialRecord {
+                search,
+                trial: aimd.observed(),
+                rate,
+                ledger,
+                p99,
+                met,
+            };
+            if let Some(journal) = journal.as_deref_mut() {
+                journal.append(&record)?;
+            }
+            on_trial(spec, &record);
+            aimd.observe(met);
+            trials.push(record);
+        }
+        out.push((aimd.best_ok(), trials));
     }
-    if valid_up_to < text.len() {
-        // Heal the crash damage so appended records start on a fresh line.
-        let file = OpenOptions::new().write(true).open(path)?;
-        file.set_len(valid_up_to as u64)?;
-    }
-    let file = OpenOptions::new().append(true).open(path)?;
-    Ok((
-        SloJournalWriter {
-            out: BufWriter::new(file),
-        },
-        done,
-    ))
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn record(search: usize, trial: u32, rate: u64, met: bool) -> TrialRecord {
-        TrialRecord {
-            search,
-            trial,
-            rate,
-            ledger: RequestLedger {
-                offered: 100,
-                admitted: 90,
-                completed: 80,
-                shed: 10,
-                timed_out: 8,
-                failed: 2,
-                retries: 5,
-            },
-            p99: 17_000,
-            met,
-        }
-    }
-
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = option_env!("CARGO_TARGET_TMPDIR")
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(std::env::temp_dir)
-            .join("silcfm-slo-journal-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
-    }
-
     #[test]
-    fn roundtrip_preserves_trials_in_order() {
-        let path = tmp("roundtrip.journal");
-        let mut w = SloJournalWriter::create(&path, 42).unwrap();
-        w.append(&record(0, 0, 20, true)).unwrap();
-        w.append(&record(0, 1, 26, false)).unwrap();
-        w.append(&record(1, 0, 20, true)).unwrap();
-        drop(w);
-        let (_w, done) = resume(&path, 42).unwrap();
-        assert_eq!(
-            done,
-            vec![
-                record(0, 0, 20, true),
-                record(0, 1, 26, false),
-                record(1, 0, 20, true),
-            ]
-        );
-    }
-
-    #[test]
-    fn torn_tail_is_discarded_and_healed() {
-        let path = tmp("torn.journal");
-        let mut w = SloJournalWriter::create(&path, 9).unwrap();
-        w.append(&record(0, 0, 20, true)).unwrap();
-        drop(w);
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        write!(f, "trial 0 1 26 100 9").unwrap();
-        drop(f);
-        let (mut w, done) = resume(&path, 9).unwrap();
-        assert_eq!(done.len(), 1, "torn record must be dropped");
-        w.append(&record(0, 1, 26, false)).unwrap();
-        drop(w);
-        let (_w, done) = resume(&path, 9).unwrap();
-        assert_eq!(done.len(), 2);
-        assert_eq!(done[1], record(0, 1, 26, false));
-    }
-
-    #[test]
-    fn grid_mismatch_and_interior_corruption_are_errors() {
-        let path = tmp("mismatch.journal");
-        drop(SloJournalWriter::create(&path, 1).unwrap());
-        let err = resume(&path, 2).unwrap_err();
-        assert!(err.to_string().contains("different search grid"), "{err}");
-
-        let path = tmp("corrupt.journal");
-        let mut w = SloJournalWriter::create(&path, 5).unwrap();
-        w.append(&record(0, 0, 20, true)).unwrap();
-        drop(w);
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        writeln!(f, "trial zzz corrupt").unwrap();
-        writeln!(f, "{}", encode(&record(0, 1, 26, false))).unwrap();
-        drop(f);
-        let err = resume(&path, 5).unwrap_err();
+    fn out_of_range_fields_are_corruption_not_truncation() {
+        // 2^32 does not fit the u32 trial index; it must not wrap to 0.
+        let dir = option_env!("CARGO_TARGET_TMPDIR").map_or_else(std::env::temp_dir, Into::into);
+        let path = dir.join("silcfm-slo-range.journal");
+        let header = "silcfm-slo-journal v1 grid=0000000000000003";
+        let lines = "trial 0 4294967296 20 1 1 1 0 0 0 0 5 1\ntrial 0 1 26 1 1 1 0 0 0 0 5 1";
+        std::fs::write(&path, format!("{header}\n{lines}\n")).unwrap();
+        let err = SloJournal::resume(&path, 3).unwrap_err();
         assert!(err.to_string().contains("malformed"), "{err}");
     }
 

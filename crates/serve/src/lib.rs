@@ -22,8 +22,10 @@
 //!   completed + shed + timed_out + failed`, on every run;
 //! * **regulation** ([`regulator`]) is an AIMD search for the maximum
 //!   sustainable rate under a p99 SLO, trial by trial;
-//! * **journaling** ([`journal`]) makes a killed search resumable by
-//!   replaying recorded verdicts through fresh regulators.
+//! * **journaling** ([`journal`]) records each finished trial in a
+//!   crash-safe [`silcfm_sim::journal::Journal`], and [`run_searches`]
+//!   drives the searches, resuming a killed one by replaying its recorded
+//!   verdicts through fresh regulators.
 //!
 //! # Example
 //!
@@ -57,7 +59,7 @@ pub mod regulator;
 pub mod runner;
 pub mod tracker;
 
-pub use journal::{search_digest, SloJournalWriter, TrialRecord};
+pub use journal::{run_searches, search_digest, SloJournal, TrialRecord};
 pub use ledger::RequestLedger;
 pub use plan::{plan_lane, LanePlan, ServeLaneGen, ServeParams, ServeSource};
 pub use regulator::{Aimd, AimdParams};

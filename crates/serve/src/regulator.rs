@@ -38,14 +38,6 @@ impl AimdParams {
             trials: 12,
         }
     }
-
-    /// A short search for smoke tests and CI.
-    pub const fn smoke_search() -> Self {
-        Self {
-            trials: 5,
-            ..Self::default_search()
-        }
-    }
 }
 
 /// The regulator: holds the next rate to offer and the best rate that met

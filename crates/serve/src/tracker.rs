@@ -133,11 +133,6 @@ impl FailureTimeline {
         out
     }
 
-    /// Whether the schedule contains any hard channel failure at all.
-    pub fn has_failures(&self) -> bool {
-        !self.nm.is_empty() || !self.fm.is_empty()
-    }
-
     /// Whether the window `[from, to]` overlaps a failed interval of
     /// `device` (the chaos harness's NACK-attribution check).
     pub fn overlaps_failure(&self, device: MemKind, from: u64, to: u64) -> bool {

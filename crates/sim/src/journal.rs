@@ -1,36 +1,189 @@
-//! Crash-safe experiment journal: an append-only record of finished grid
-//! jobs that lets a killed run resume without repeating work.
+//! Crash-safe journals: append-only records of finished work that let a
+//! killed run resume without repeating it.
 //!
-//! The format is a plain text file, one line per record:
+//! [`Journal<R>`] owns the file format and a [`Record`] type only its
+//! fields. The format is a plain text file, one line per record:
 //!
-//! * a header line, `silcfm-journal v1 grid=<hex>`, binding the journal to
-//!   one exact job grid (the digest covers every job's full configuration
-//!   and the fault plane the grid runs under);
-//! * one `job` line per finished job, carrying the complete [`RunResult`]
-//!   in whitespace-separated fields. Floats are written as the hex of their
-//!   IEEE-754 bits, so a journal round-trip is *bit-identical* — a resumed
-//!   grid's aggregate equals the uninterrupted run's byte for byte.
+//! * a header line, `<MAGIC> v1 grid=<hex>`, binding the journal to one
+//!   exact piece of work (for grids, [`grid_digest`]);
+//! * one `<TAG> <fields…>` line per finished record. Floats are written as
+//!   the hex of their IEEE-754 bits, so a journal round-trip is
+//!   *bit-identical* — a resumed grid's aggregate equals the uninterrupted
+//!   run's byte for byte.
 //!
-//! Every append is flushed before the runner moves on, so a crash loses at
-//! most the in-flight record. The reader tolerates exactly that: a torn
-//! final line is discarded, anything else malformed is an error.
+//! Every append reaches the file before the caller moves on, so a crash
+//! loses at most the in-flight record. The reader tolerates exactly that: a
+//! torn final line is discarded, anything else malformed is an error.
 
 // silcfm-lint: allow-file(T1) -- the only concurrency here is the process-wide
 // intern pool below: an idempotent, leaked String -> &'static str map whose
 // lock order cannot affect simulation results.
 
-use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::hash::{Hash, Hasher};
-use std::io::{BufWriter, Read as _, Write as _};
+use std::io::{Read as _, Write as _};
+use std::marker::PhantomData;
 use std::path::Path;
+use std::str::SplitWhitespace;
 use std::sync::{Mutex, OnceLock};
 
-use silcfm_types::{FxHashMap, FxHasher, SilcFmError};
+use silcfm_types::{FxHashMap, FxHasher, SchemeStats, SilcFmError};
 
 use crate::experiment::FaultParams;
 use crate::metrics::{RunResult, TrafficTally};
 use crate::runner::Job;
+
+/// One kind of journal line. Tokens never contain whitespace: labels are
+/// fixed identifiers and numbers are decimal or hex.
+pub trait Record: Sized {
+    /// First word of the header line, naming the journal kind.
+    const MAGIC: &'static str;
+    /// First token of every record line.
+    const TAG: &'static str;
+    /// Appends the record's fields, each preceded by one space, to `line`
+    /// (which already holds [`Self::TAG`]).
+    fn encode(&self, line: &mut String);
+    /// Reads the fields after the tag. `None` on any shortfall or malformed
+    /// or out-of-range field; the journal treats fields left over as
+    /// malformed too.
+    fn decode(fields: &mut Fields<'_>) -> Option<Self>;
+}
+
+/// Reader over the whitespace-separated fields of one journal line.
+#[derive(Debug)]
+pub struct Fields<'a>(SplitWhitespace<'a>);
+
+impl<'a> Fields<'a> {
+    /// The next field as text.
+    pub fn str(&mut self) -> Option<&'a str> {
+        self.0.next()
+    }
+
+    /// The next field as a decimal `u64`.
+    pub fn u64(&mut self) -> Option<u64> {
+        self.str()?.parse().ok()
+    }
+
+    /// The next field as an `f64` written by [`put_f64`], bit for bit.
+    pub fn f64(&mut self) -> Option<f64> {
+        u64::from_str_radix(self.str()?, 16)
+            .ok()
+            .map(f64::from_bits)
+    }
+}
+
+/// Appends ` <hex of v's bits>` to `line`: the exact-bit float field.
+pub fn put_f64(line: &mut String, v: f64) {
+    let _ = write!(line, " {:016x}", v.to_bits());
+}
+
+fn header_line<R: Record>(digest: u64) -> String {
+    format!("{} v1 grid={digest:016x}", R::MAGIC)
+}
+
+/// Parses one complete record line; `None` if it is not exactly one `R`.
+fn parse<R: Record>(line: &str) -> Option<R> {
+    let mut fields = Fields(line.split_whitespace());
+    if fields.str()? != R::TAG {
+        return None;
+    }
+    let record = R::decode(&mut fields)?;
+    fields.str().is_none().then_some(record)
+}
+
+/// The write side of a journal of `R` records: created fresh or reopened
+/// by [`Journal::resume`], it appends one line per finished record.
+#[derive(Debug)]
+pub struct Journal<R>(File, PhantomData<fn(&R)>);
+
+impl<R: Record> Journal<R> {
+    /// Creates (truncating) a journal for the work with the given digest
+    /// and writes the header.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SilcFmError::Journal`] on any I/O failure.
+    pub fn create(path: &Path, digest: u64) -> Result<Self, SilcFmError> {
+        let mut file = File::create(path)?;
+        file.write_all(format!("{}\n", header_line::<R>(digest)).as_bytes())?;
+        Ok(Self(file, PhantomData))
+    }
+
+    /// Appends one record. The line goes to the file in one unbuffered
+    /// write before this returns, so a crash after this call never loses
+    /// the record.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SilcFmError::Journal`] on any I/O failure.
+    pub fn append(&mut self, record: &R) -> Result<(), SilcFmError> {
+        let mut line = String::from(R::TAG);
+        record.encode(&mut line);
+        line.push('\n');
+        self.0.write_all(line.as_bytes())?;
+        Ok(())
+    }
+
+    /// Reads a journal back: validates the header against `digest`, returns
+    /// the finished records in append order, and reopens the file for
+    /// appending. A torn final line (no trailing newline, or a line that
+    /// stops mid-field) is discarded and cut off with `set_len` — that is
+    /// the crash the journal exists to survive.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SilcFmError::Journal`] when the file is unreadable, the
+    /// header names a different grid, or an interior line is malformed.
+    pub fn resume(path: &Path, digest: u64) -> Result<(Self, Vec<R>), SilcFmError> {
+        let mut text = String::new();
+        File::open(path)?.read_to_string(&mut text)?;
+        // Bytes past the last newline are the in-flight record of a crash;
+        // they are the one loss the format tolerates.
+        let body = &text[..text.rfind('\n').map_or(0, |i| i + 1)];
+        let (header, lines) = body
+            .split_once('\n')
+            .ok_or_else(|| SilcFmError::journal("journal is empty (no header line)"))?;
+        // The byte offset of the last intact record, so the file can be cut
+        // back to a clean state before appending resumes.
+        let mut valid_up_to = header.len() + 1;
+        let (header, expected) = (header.trim_end(), header_line::<R>(digest));
+        if header != expected {
+            return Err(SilcFmError::journal(format!(
+                "journal belongs to a different grid: found {header:?}, expected {expected:?}"
+            )));
+        }
+        let mut done = Vec::new();
+        let mut rest = lines.split_inclusive('\n').peekable();
+        while let Some(raw) = rest.next() {
+            match parse(raw) {
+                Some(record) => {
+                    done.push(record);
+                    valid_up_to += raw.len();
+                }
+                // A malformed *last* line can be a crash artifact and is
+                // dropped; a malformed interior line cannot, and means
+                // corruption the journal must not paper over.
+                None if rest.peek().is_none() => break,
+                None => {
+                    return Err(SilcFmError::journal(format!(
+                        "malformed journal line: {:?}",
+                        raw.trim_end_matches('\n')
+                    )))
+                }
+            }
+        }
+        if valid_up_to < text.len() {
+            // Heal the crash damage so appended records start on a fresh line.
+            OpenOptions::new()
+                .write(true)
+                .open(path)?
+                .set_len(valid_up_to as u64)?;
+        }
+        let file = OpenOptions::new().append(true).open(path)?;
+        Ok((Self(file, PhantomData), done))
+    }
+}
 
 /// Digest binding a journal to one job grid run under `faults`. Any change
 /// to the grid — a workload, a scheme parameter, a seed, the fault plane —
@@ -75,242 +228,117 @@ fn intern(s: &str) -> &'static str {
     k
 }
 
-fn f64_to_field(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
+/// One finished grid job: its index in the job list and its complete
+/// [`RunResult`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct JobRecord {
+    /// Index of the job in the grid's job list.
+    pub index: usize,
+    /// The job's result, every field bit-exact.
+    pub result: RunResult,
 }
 
-/// One journal line for a finished job. Tokens never contain whitespace:
-/// scheme/workload labels are fixed identifiers and numbers are decimal or
-/// hex.
-fn encode(index: usize, r: &RunResult) -> String {
-    use core::fmt::Write as _;
-    let mut line = format!(
-        "job {index} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
-        r.scheme,
-        r.workload,
-        r.cycles,
-        r.instructions,
-        r.llc_misses,
-        f64_to_field(r.access_rate),
-        r.traffic.nm_demand,
-        r.traffic.fm_demand,
-        r.traffic.nm_other,
-        r.traffic.fm_other,
-        f64_to_field(r.energy_pj),
-        r.scheme_stats.accesses,
-        r.scheme_stats.serviced_from_nm,
-        r.scheme_stats.subblocks_moved,
-        r.scheme_stats.blocks_migrated,
-        f64_to_field(r.mpki),
-        r.footprint_bytes,
-        r.scheme_stats.details.len(),
-    );
-    for (key, value) in &r.scheme_stats.details {
-        let _ = write!(line, " {key} {}", f64_to_field(*value));
-    }
-    line
-}
+impl Record for JobRecord {
+    const MAGIC: &'static str = "silcfm-journal";
+    const TAG: &'static str = "job";
 
-/// Parses one `job` line (sans the leading `job` token). Returns `None` on
-/// any shortfall or malformed field — the caller decides whether that means
-/// "torn tail" (tolerated) or "corrupt" (error).
-fn decode(tokens: &[&str]) -> Option<(usize, RunResult)> {
-    let mut it = tokens.iter();
-    let mut next = || it.next().copied();
-    let index: usize = next()?.parse().ok()?;
-    let scheme = next()?.to_string();
-    let workload = next()?.to_string();
-    let int = |s: Option<&str>| s?.parse::<u64>().ok();
-    let float = |s: Option<&str>| u64::from_str_radix(s?, 16).ok().map(f64::from_bits);
-    let cycles = int(next())?;
-    let instructions = int(next())?;
-    let llc_misses = int(next())?;
-    let access_rate = float(next())?;
-    let traffic = TrafficTally {
-        nm_demand: int(next())?,
-        fm_demand: int(next())?,
-        nm_other: int(next())?,
-        fm_other: int(next())?,
-    };
-    let energy_pj = float(next())?;
-    let mut scheme_stats = silcfm_types::SchemeStats {
-        accesses: int(next())?,
-        serviced_from_nm: int(next())?,
-        subblocks_moved: int(next())?,
-        blocks_migrated: int(next())?,
-        ..Default::default()
-    };
-    let mpki = float(next())?;
-    let footprint_bytes = int(next())?;
-    let ndetails = int(next())? as usize;
-    for _ in 0..ndetails {
-        let key = intern(next()?);
-        let value = float(next())?;
-        scheme_stats.details.push((key, value));
-    }
-    if it.next().is_some() {
-        return None; // trailing junk: treat as malformed
-    }
-    Some((
-        index,
-        RunResult {
-            scheme,
-            workload,
-            cycles,
-            instructions,
-            llc_misses,
-            access_rate,
-            traffic,
-            energy_pj,
-            scheme_stats,
-            mpki,
-            footprint_bytes,
-        },
-    ))
-}
-
-fn header_line(digest: u64) -> String {
-    format!("silcfm-journal v1 grid={digest:016x}")
-}
-
-/// The write side of a journal: created fresh or reopened for resume, it
-/// appends one flushed line per finished job.
-#[derive(Debug)]
-pub struct JournalWriter {
-    out: BufWriter<File>,
-}
-
-impl JournalWriter {
-    /// Creates (truncating) a journal for a grid with the given digest and
-    /// writes the header.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SilcFmError::Journal`] on any I/O failure.
-    pub fn create(path: &Path, digest: u64) -> Result<Self, SilcFmError> {
-        let file = File::create(path)?;
-        let mut out = BufWriter::new(file);
-        writeln!(out, "{}", header_line(digest))?;
-        out.flush()?;
-        Ok(Self { out })
-    }
-
-    /// Appends one finished job and flushes, so a crash after this call
-    /// never loses the record.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SilcFmError::Journal`] on any I/O failure.
-    pub fn append(&mut self, index: usize, result: &RunResult) -> Result<(), SilcFmError> {
-        writeln!(self.out, "{}", encode(index, result))?;
-        self.out.flush()?;
-        Ok(())
-    }
-}
-
-/// Reads a journal back: validates the header against `digest`, collects
-/// the finished jobs, and reopens the file in append mode so the run can
-/// continue where it stopped. A torn final line (no trailing newline, or a
-/// line that stops mid-field) is discarded silently — that is the crash the
-/// journal exists to survive.
-///
-/// # Errors
-///
-/// Returns [`SilcFmError::Journal`] when the file is unreadable, the header
-/// names a different grid, or an interior line is malformed.
-pub fn resume(
-    path: &Path,
-    digest: u64,
-) -> Result<(JournalWriter, BTreeMap<usize, RunResult>), SilcFmError> {
-    let mut text = String::new();
-    File::open(path)?.read_to_string(&mut text)?;
-    // Bytes past the last newline are the in-flight record of a crash;
-    // they are the one loss the format tolerates.
-    let complete_up_to = text.rfind('\n').map_or(0, |i| i + 1);
-    let body = &text[..complete_up_to];
-    let header_end = body
-        .find('\n')
-        .map(|i| i + 1)
-        .ok_or_else(|| SilcFmError::journal("journal is empty (no header line)"))?;
-    let header = body[..header_end].trim_end();
-    if header != header_line(digest) {
-        return Err(SilcFmError::journal(format!(
-            "journal belongs to a different grid: found {header:?}, expected {:?}",
-            header_line(digest)
-        )));
-    }
-    let mut done = BTreeMap::new();
-    // Track the byte offset of the last intact record so the file can be
-    // truncated back to a clean state before appending resumes.
-    let mut valid_up_to = header_end;
-    let mut rest = body[header_end..].split_inclusive('\n').peekable();
-    while let Some(raw) = rest.next() {
-        let line = raw.trim_end_matches('\n');
-        let tokens: Vec<&str> = line.split_whitespace().collect();
-        let parsed = match tokens.split_first() {
-            Some((&"job", fields)) => decode(fields),
-            _ => None,
-        };
-        match parsed {
-            Some((index, result)) => {
-                done.insert(index, result);
-                valid_up_to += raw.len();
-            }
-            // A malformed *last* line can be a crash artifact and is
-            // dropped; a malformed interior line cannot, and means
-            // corruption the journal must not paper over.
-            None if rest.peek().is_none() => break,
-            None => {
-                return Err(SilcFmError::journal(format!(
-                    "malformed journal line: {line:?}"
-                )))
-            }
+    fn encode(&self, line: &mut String) {
+        let r = &self.result;
+        let (t, s) = (&r.traffic, &r.scheme_stats);
+        let _ = write!(
+            line,
+            " {} {} {} {} {} {}",
+            self.index, r.scheme, r.workload, r.cycles, r.instructions, r.llc_misses
+        );
+        put_f64(line, r.access_rate);
+        let _ = write!(
+            line,
+            " {} {} {} {}",
+            t.nm_demand, t.fm_demand, t.nm_other, t.fm_other
+        );
+        put_f64(line, r.energy_pj);
+        let _ = write!(
+            line,
+            " {} {} {} {}",
+            s.accesses, s.serviced_from_nm, s.subblocks_moved, s.blocks_migrated
+        );
+        put_f64(line, r.mpki);
+        let _ = write!(line, " {} {}", r.footprint_bytes, s.details.len());
+        for (key, value) in &s.details {
+            let _ = write!(line, " {key}");
+            put_f64(line, *value);
         }
     }
-    if valid_up_to < text.len() {
-        // Heal the crash damage: cut the torn/malformed tail so appended
-        // records start on a fresh line.
-        let file = OpenOptions::new().write(true).open(path)?;
-        file.set_len(valid_up_to as u64)?;
+
+    fn decode(f: &mut Fields<'_>) -> Option<Self> {
+        let index = usize::try_from(f.u64()?).ok()?;
+        // Struct-expression fields evaluate in the order written, which is
+        // the line's field order; the details come last.
+        let mut result = RunResult {
+            scheme: f.str()?.to_string(),
+            workload: f.str()?.to_string(),
+            cycles: f.u64()?,
+            instructions: f.u64()?,
+            llc_misses: f.u64()?,
+            access_rate: f.f64()?,
+            traffic: TrafficTally {
+                nm_demand: f.u64()?,
+                fm_demand: f.u64()?,
+                nm_other: f.u64()?,
+                fm_other: f.u64()?,
+            },
+            energy_pj: f.f64()?,
+            scheme_stats: SchemeStats {
+                accesses: f.u64()?,
+                serviced_from_nm: f.u64()?,
+                subblocks_moved: f.u64()?,
+                blocks_migrated: f.u64()?,
+                details: Vec::new(),
+            },
+            mpki: f.f64()?,
+            footprint_bytes: f.u64()?,
+        };
+        // A detail count read from the file allocates nothing up front: a
+        // huge count fails on its first missing field.
+        for _ in 0..f.u64()? {
+            let key = intern(f.str()?);
+            result.scheme_stats.details.push((key, f.f64()?));
+        }
+        Some(Self { index, result })
     }
-    let file = OpenOptions::new().append(true).open(path)?;
-    Ok((
-        JournalWriter {
-            out: BufWriter::new(file),
-        },
-        done,
-    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use silcfm_types::SchemeStats;
 
-    fn result(cycles: u64) -> RunResult {
-        RunResult {
-            scheme: "silcfm".into(),
-            workload: "milc".into(),
-            cycles,
-            instructions: 123_456,
-            llc_misses: 789,
-            access_rate: 0.8251,
-            traffic: TrafficTally {
-                nm_demand: 1,
-                fm_demand: 2,
-                nm_other: 3,
-                fm_other: 4,
+    fn record(index: usize, cycles: u64) -> JobRecord {
+        JobRecord {
+            index,
+            result: RunResult {
+                scheme: "silcfm".into(),
+                workload: "milc".into(),
+                cycles,
+                instructions: 123_456,
+                llc_misses: 789,
+                access_rate: 0.8251,
+                traffic: TrafficTally {
+                    nm_demand: 1,
+                    fm_demand: 2,
+                    nm_other: 3,
+                    fm_other: 4,
+                },
+                energy_pj: 1.5e9,
+                scheme_stats: SchemeStats {
+                    accesses: 99,
+                    serviced_from_nm: 81,
+                    subblocks_moved: 7,
+                    blocks_migrated: 2,
+                    details: vec![("locks", 4.0), ("fault_poisoned", 0.125)],
+                },
+                mpki: 13.37,
+                footprint_bytes: 1 << 21,
             },
-            energy_pj: 1.5e9,
-            scheme_stats: SchemeStats {
-                accesses: 99,
-                serviced_from_nm: 81,
-                subblocks_moved: 7,
-                blocks_migrated: 2,
-                details: vec![("locks", 4.0), ("fault_poisoned", 0.125)],
-            },
-            mpki: 13.37,
-            footprint_bytes: 1 << 21,
         }
     }
 
@@ -323,73 +351,62 @@ mod tests {
         dir.join(name)
     }
 
-    #[test]
-    fn roundtrip_is_bit_identical() {
-        let path = tmp("roundtrip.journal");
-        let mut w = JournalWriter::create(&path, 42).unwrap();
-        w.append(0, &result(1000)).unwrap();
-        w.append(3, &result(2000)).unwrap();
-        drop(w);
-        let (_w, done) = resume(&path, 42).unwrap();
-        assert_eq!(done.len(), 2);
-        assert_eq!(done[&0], result(1000));
-        assert_eq!(done[&3], result(2000));
+    fn append_raw(path: &Path, text: &str) {
+        let mut f = OpenOptions::new().append(true).open(path).unwrap();
+        f.write_all(text.as_bytes()).unwrap();
     }
 
     #[test]
     fn float_bits_survive_exactly() {
-        let mut r = result(1);
-        r.access_rate = f64::from_bits(0x3FE9_9999_9999_999A); // 0.8 exactly as stored
-        r.mpki = -0.0;
+        let mut r = record(0, 1);
+        r.result.access_rate = f64::from_bits(0x3FE9_9999_9999_999A); // 0.8 exactly as stored
+        r.result.mpki = -0.0;
         let path = tmp("floatbits.journal");
-        let mut w = JournalWriter::create(&path, 7).unwrap();
-        w.append(0, &r).unwrap();
+        let mut w = Journal::create(&path, 7).unwrap();
+        w.append(&r).unwrap();
         drop(w);
-        let (_w, done) = resume(&path, 7).unwrap();
-        assert_eq!(done[&0].access_rate.to_bits(), r.access_rate.to_bits());
-        assert_eq!(done[&0].mpki.to_bits(), r.mpki.to_bits());
+        let (_w, done) = Journal::<JobRecord>::resume(&path, 7).unwrap();
+        let got = &done[0].result;
+        assert_eq!(got.access_rate.to_bits(), r.result.access_rate.to_bits());
+        assert_eq!(got.mpki.to_bits(), r.result.mpki.to_bits());
     }
 
     #[test]
     fn torn_tail_is_discarded() {
         let path = tmp("torn.journal");
-        let mut w = JournalWriter::create(&path, 9).unwrap();
-        w.append(0, &result(500)).unwrap();
+        let mut w = Journal::create(&path, 9).unwrap();
+        w.append(&record(0, 500)).unwrap();
         drop(w);
         // Simulate a crash mid-append: partial line, no newline.
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        write!(f, "job 1 silcfm milc 77").unwrap();
-        drop(f);
-        let (mut w, done) = resume(&path, 9).unwrap();
+        append_raw(&path, "job 1 silcfm milc 77");
+        let (mut w, done) = Journal::<JobRecord>::resume(&path, 9).unwrap();
         assert_eq!(done.len(), 1, "torn record must be dropped");
         // Resume healed the tail: the re-appended record lands on a fresh
         // line and the journal reads back complete.
-        w.append(1, &result(600)).unwrap();
+        w.append(&record(1, 600)).unwrap();
         drop(w);
-        let (_w, done) = resume(&path, 9).unwrap();
-        assert_eq!(done.len(), 2);
-        assert_eq!(done[&1], result(600));
+        let (_w, done) = Journal::<JobRecord>::resume(&path, 9).unwrap();
+        assert_eq!(done, vec![record(0, 500), record(1, 600)]);
     }
 
     #[test]
     fn grid_mismatch_is_rejected() {
         let path = tmp("mismatch.journal");
-        drop(JournalWriter::create(&path, 1).unwrap());
-        let err = resume(&path, 2).unwrap_err();
+        drop(Journal::<JobRecord>::create(&path, 1).unwrap());
+        let err = Journal::<JobRecord>::resume(&path, 2).unwrap_err();
         assert!(err.to_string().contains("different grid"), "{err}");
     }
 
     #[test]
     fn interior_corruption_is_an_error() {
         let path = tmp("corrupt.journal");
-        let mut w = JournalWriter::create(&path, 5).unwrap();
-        w.append(0, &result(500)).unwrap();
+        let mut w = Journal::create(&path, 5).unwrap();
+        w.append(&record(0, 500)).unwrap();
         drop(w);
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        writeln!(f, "job zzz not-a-record").unwrap();
-        writeln!(f, "{}", encode(1, &result(600))).unwrap();
-        drop(f);
-        let err = resume(&path, 5).unwrap_err();
+        let mut valid = String::from(JobRecord::TAG);
+        record(1, 600).encode(&mut valid);
+        append_raw(&path, &format!("job zzz not-a-record\n{valid}\n"));
+        let err = Journal::<JobRecord>::resume(&path, 5).unwrap_err();
         assert!(err.to_string().contains("malformed"), "{err}");
     }
 

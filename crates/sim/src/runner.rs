@@ -35,7 +35,7 @@
 //! }
 //! ```
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::path::Path;
 use std::sync::mpsc;
 use std::sync::Mutex;
@@ -45,7 +45,7 @@ use silcfm_types::rng::SplitMix64;
 use silcfm_types::{SilcFmError, SystemConfig};
 
 use crate::experiment::{run, run_spec, RunOutput, RunParams, RunSpec, SchemeKind};
-use crate::journal;
+use crate::journal::{self, JobRecord, Journal};
 use crate::metrics::RunResult;
 
 /// One self-contained simulation: everything [`run`] needs, by value, so the
@@ -307,16 +307,13 @@ pub fn run_grid_journaled(
     mut on_done: impl FnMut(usize, &RunResult),
 ) -> Result<Vec<RunResult>, SilcFmError> {
     let digest = journal::grid_digest(jobs, spec.faults.as_ref());
-    let (mut writer, done) = if resume && path.exists() {
-        journal::resume(path, digest)?
+    let (mut journal, done) = if resume && path.exists() {
+        Journal::resume(path, digest)?
     } else {
-        (
-            journal::JournalWriter::create(path, digest)?,
-            BTreeMap::new(),
-        )
+        (Journal::create(path, digest)?, Vec::new())
     };
     let mut slots: Vec<Option<RunResult>> = vec![None; jobs.len()];
-    for (index, result) in done {
+    for JobRecord { index, result } in done {
         if let Some(slot) = slots.get_mut(index) {
             *slot = Some(result);
         }
@@ -332,13 +329,14 @@ pub fn run_grid_journaled(
         |i| run_job(&jobs[i], spec).map(|out| out.result),
         |i, output| match output {
             Ok(result) => {
+                let record = JobRecord { index: i, result };
                 if failure.is_none() {
-                    if let Err(e) = writer.append(i, &result) {
+                    if let Err(e) = journal.append(&record) {
                         failure = Some(e);
                     }
                 }
-                on_done(i, &result);
-                slots[i] = Some(result);
+                on_done(i, &record.result);
+                slots[i] = Some(record.result);
             }
             Err(e) => {
                 failure.get_or_insert(e);
@@ -480,9 +478,9 @@ mod tests {
 
         // Simulate a run killed after three jobs: journal only a prefix.
         let digest = journal::grid_digest(&jobs, None);
-        let mut w = journal::JournalWriter::create(&path, digest).unwrap();
-        for (i, r) in serial.iter().enumerate().take(3) {
-            w.append(i, r).unwrap();
+        let mut w = Journal::create(&path, digest).unwrap();
+        for (index, result) in serial.iter().cloned().enumerate().take(3) {
+            w.append(&JobRecord { index, result }).unwrap();
         }
         drop(w);
 
@@ -514,9 +512,9 @@ mod tests {
         // Serial prefix, sharded resume.
         let path = tmp("crossmode.journal");
         let digest = journal::grid_digest(&jobs, None);
-        let mut w = journal::JournalWriter::create(&path, digest).unwrap();
-        for (i, r) in serial.iter().enumerate().take(2) {
-            w.append(i, r).unwrap();
+        let mut w = Journal::create(&path, digest).unwrap();
+        for (index, result) in serial.iter().cloned().enumerate().take(2) {
+            w.append(&JobRecord { index, result }).unwrap();
         }
         drop(w);
         let mut executed = Vec::new();

@@ -66,11 +66,6 @@ impl AddressSpace {
         }
     }
 
-    /// Whether `addr` falls in the NM address range.
-    pub fn is_near(self, addr: PhysAddr) -> bool {
-        self.kind_of(addr) == MemKind::Near
-    }
-
     /// The device-local byte address within the owning memory.
     ///
     /// NM addresses map to themselves; FM addresses have the NM capacity

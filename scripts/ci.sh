@@ -152,7 +152,9 @@ cargo run --release --offline -p silcfm-bench --bin slo -- --smoke
 # SLO search kill-and-resume: journal the search, crash it mid-write
 # after 4 trials (exit 3, torn tail), resume — verdict replay through
 # fresh regulators must finish with the byte-identical aggregate an
-# uninterrupted search prints.
+# uninterrupted search prints, and with a journal byte-identical to the
+# uninterrupted search's (the search is sequential, so unlike the grid
+# journal above its record order is fixed).
 echo "==> SLO search kill-and-resume (smoke)"
 rc=0
 "$slo_bin" --smoke --no-write --skip-check \
@@ -161,11 +163,13 @@ rc=0
 slo_resumed="$("$slo_bin" --smoke --no-write --skip-check \
   --journal "$journal_dir/slo.journal" --resume | grep -o 'aggregate=[0-9a-f]*')"
 slo_fresh="$("$slo_bin" --smoke --no-write --skip-check \
-  | grep -o 'aggregate=[0-9a-f]*')"
+  --journal "$journal_dir/slo-fresh.journal" | grep -o 'aggregate=[0-9a-f]*')"
 [ -n "$slo_resumed" ] && [ "$slo_resumed" = "$slo_fresh" ] || {
   echo "SLO resume aggregate mismatch: resumed='$slo_resumed' fresh='$slo_fresh'"
   exit 1; }
-echo "    resumed $slo_resumed == fresh $slo_fresh"
+cmp "$journal_dir/slo.journal" "$journal_dir/slo-fresh.journal" || {
+  echo "SLO resumed journal differs from the uninterrupted one"; exit 1; }
+echo "    resumed $slo_resumed == fresh $slo_fresh, journals byte-identical"
 
 # Serving-plane fault soak: open-loop trials under harsh faults — request
 # ledger conservation, NACK windows pinned to real failure intervals, the

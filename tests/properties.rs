@@ -581,14 +581,17 @@ fn ecc_outcomes_track_configured_probabilities() {
 
 /// Cutting a journal at an arbitrary byte (the crash model) and resuming
 /// recovers exactly the records whose lines completed; re-appending the
-/// missing ones reproduces the uninterrupted journal byte for byte.
+/// missing ones reproduces the uninterrupted journal byte for byte. Runs
+/// for both record types: grid jobs and SLO search trials.
 #[test]
 fn journal_resume_recovers_exactly_the_complete_prefix() {
-    use silc_fm::sim::journal::{resume, JournalWriter};
+    use silc_fm::sim::journal::{JobRecord, Journal, Record};
     use silc_fm::sim::{RunResult, TrafficTally};
     use silc_fm::types::SchemeStats;
+    use silcfm_serve::{RequestLedger, TrialRecord};
+    use std::path::Path;
 
-    fn arb_result(rng: &mut Xoshiro256StarStar, i: usize) -> RunResult {
+    fn arb_job(rng: &mut Xoshiro256StarStar, i: usize) -> JobRecord {
         const KEYS: &[&str] = &["locks", "swaps", "epochs", "migrations"];
         let access_rate = rng.gen_range(0u64..1 << 52) as f64 / 1e18 - 1.0;
         let energy_pj = rng.gen_range(0u64..1 << 52) as f64 / 3.0 - 1.0;
@@ -604,7 +607,7 @@ fn journal_resume_recovers_exactly_the_complete_prefix() {
             let v = rng.gen_range(0u64..1 << 52) as f64 / 7.0;
             stats.detail(key, v);
         }
-        RunResult {
+        let result = RunResult {
             scheme: ["silcfm", "hma", "cam"][i % 3].to_string(),
             workload: ["mcf", "milc"][i % 2].to_string(),
             cycles: rng.gen_range(1u64..u64::MAX),
@@ -621,7 +624,74 @@ fn journal_resume_recovers_exactly_the_complete_prefix() {
             scheme_stats: stats,
             mpki,
             footprint_bytes: rng.gen_range(0u64..1 << 48),
+        };
+        JobRecord { index: i, result }
+    }
+
+    fn arb_trial(rng: &mut Xoshiro256StarStar, i: usize) -> TrialRecord {
+        let mut any = || rng.gen_range(0u64..u64::MAX);
+        TrialRecord {
+            search: i / 3,
+            trial: u32::try_from(i % 3).unwrap(),
+            rate: any(),
+            ledger: RequestLedger {
+                offered: any(),
+                admitted: any(),
+                completed: any(),
+                shed: any(),
+                timed_out: any(),
+                failed: any(),
+                retries: any(),
+            },
+            p99: any(),
+            met: any() % 2 == 1,
         }
+    }
+
+    fn cut_and_resume<R: Record + PartialEq + std::fmt::Debug>(
+        rng: &mut Xoshiro256StarStar,
+        dir: &Path,
+        records: &[R],
+    ) {
+        let digest = rng.gen_range(0u64..u64::MAX);
+        let path = dir.join(format!(
+            "case-{:016x}.journal",
+            rng.gen_range(0u64..u64::MAX)
+        ));
+        let mut j = Journal::create(&path, digest).unwrap();
+        for r in records {
+            j.append(r).unwrap();
+        }
+        drop(j);
+        let full = std::fs::read(&path).unwrap();
+
+        // Crash model: the file survives only up to an arbitrary byte.
+        let header_end = full.iter().position(|b| *b == b'\n').unwrap() + 1;
+        let cut = rng.gen_range(header_end..=full.len());
+        std::fs::write(&path, &full[..cut]).unwrap();
+
+        let (mut j, done) = Journal::<R>::resume(&path, digest).unwrap();
+        let ends: Vec<usize> = full
+            .iter()
+            .enumerate()
+            .skip(header_end)
+            .filter(|(_, b)| **b == b'\n')
+            .map(|(i, _)| i + 1)
+            .collect();
+        let survived = ends.iter().filter(|e| **e <= cut).count();
+        assert_eq!(
+            done,
+            &records[..survived],
+            "exactly the complete lines survive"
+        );
+
+        // Finishing the interrupted run reproduces the uninterrupted file.
+        for r in &records[survived..] {
+            j.append(r).unwrap();
+        }
+        drop(j);
+        assert_eq!(std::fs::read(&path).unwrap(), full);
+        std::fs::remove_file(&path).ok();
     }
 
     let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("silcfm-prop-journal");
@@ -631,49 +701,56 @@ fn journal_resume_recovers_exactly_the_complete_prefix() {
         "journal_resume_recovers_exactly_the_complete_prefix",
         64,
         |rng| {
-            let digest = rng.gen_range(0u64..u64::MAX);
             let n = rng.gen_range(1usize..6);
-            let results: Vec<RunResult> = (0..n).map(|i| arb_result(rng, i)).collect();
-            let path = dir.join(format!(
-                "case-{:016x}.journal",
-                rng.gen_range(0u64..u64::MAX)
-            ));
-
-            let mut w = JournalWriter::create(&path, digest).unwrap();
-            for (i, r) in results.iter().enumerate() {
-                w.append(i, r).unwrap();
-            }
-            drop(w);
-            let full = std::fs::read(&path).unwrap();
-
-            // Crash model: the file survives only up to an arbitrary byte.
-            let header_end = full.iter().position(|b| *b == b'\n').unwrap() + 1;
-            let cut = rng.gen_range(header_end..=full.len());
-            std::fs::write(&path, &full[..cut]).unwrap();
-
-            let (mut w2, done) = resume(&path, digest).unwrap();
-            let ends: Vec<usize> = full
-                .iter()
-                .enumerate()
-                .skip(header_end)
-                .filter(|(_, b)| **b == b'\n')
-                .map(|(i, _)| i + 1)
-                .collect();
-            let survived = ends.iter().filter(|e| **e <= cut).count();
-            assert_eq!(done.len(), survived, "exactly the complete lines survive");
-            for (i, r) in &done {
-                assert_eq!(&results[*i], r, "record {i} round-trips bit-exactly");
-            }
-
-            // Finishing the interrupted run reproduces the uninterrupted file.
-            for (i, r) in results.iter().enumerate().skip(survived) {
-                w2.append(i, r).unwrap();
-            }
-            drop(w2);
-            assert_eq!(std::fs::read(&path).unwrap(), full);
-            std::fs::remove_file(&path).ok();
+            let jobs: Vec<JobRecord> = (0..n).map(|i| arb_job(rng, i)).collect();
+            cut_and_resume(rng, &dir, &jobs);
+            let n = rng.gen_range(1usize..9);
+            let trials: Vec<TrialRecord> = (0..n).map(|i| arb_trial(rng, i)).collect();
+            cut_and_resume(rng, &dir, &trials);
         },
     );
+}
+
+/// The on-disk format is pinned: a header and record lines as both
+/// journals have always been written decode to the expected fields and
+/// re-encode byte for byte.
+#[test]
+fn journal_format_is_pinned() {
+    use silc_fm::sim::journal::{JobRecord, Journal, Record};
+    use silcfm_serve::TrialRecord;
+
+    fn reencode<R: Record>(name: &str, digest: u64, text: &str) -> Vec<R> {
+        let path = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
+        std::fs::write(&path, text).unwrap();
+        let (_, records) = Journal::<R>::resume(&path, digest).unwrap();
+        let mut j = Journal::<R>::create(&path, digest).unwrap();
+        records.iter().for_each(|r| j.append(r).unwrap());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text, "{name}");
+        records
+    }
+
+    let jobs = reencode::<JobRecord>(
+        "pinned-grid.journal",
+        0xd210_a67c_2b04_a543,
+        "silcfm-journal v1 grid=d210a67c2b04a543\n\
+         job 1 hma mcf 1911372 2039414 36326 3fc9996fcde5f103 513792 2055232 2101248 2101248 \
+         41d5aa76f0600000 40141 8028 16416 513 4031cfdde07f5785 18669568 2 \
+         epochs 4014000000000000 migrations 4080080000000000\n",
+    );
+    let r = &jobs[0].result;
+    let got = (jobs[0].index, r.cycles, r.scheme_stats.details[1]);
+    assert_eq!(got, (1, 1_911_372, ("migrations", 513.0)));
+
+    let trials = reencode::<TrialRecord>(
+        "pinned-slo.journal",
+        0x0527_a71c_e499_dc24,
+        "silcfm-slo-journal v1 grid=0527a71ce499dc24\n\
+         trial 0 0 600 2876 2876 2876 0 0 0 0 6911 1\n\
+         trial 0 1 850 4069 4069 4069 0 0 0 0 23039 0\n",
+    );
+    let t = &trials[1];
+    let got = (t.trial, t.rate, t.ledger.offered, t.p99, t.met);
+    assert_eq!(got, (1, 850, 4069, 23_039, false));
 }
 
 // ---- sharded-run determinism ----------------------------------------------
