@@ -34,8 +34,13 @@
 //!   --skip-check         skip the serial-vs-sharded byte-identity gate
 //!   --journal PATH       journal finished trials to PATH (crash-safe)
 //!   --resume             resume a killed search from --journal PATH
+//!                        (a missing PATH starts a fresh journal)
 //!   --die-after-trials N exit(3) with a torn journal tail after N live
 //!                        trials (crash-injection hook for CI)
+//!
+//! Exit codes: 2 on a usage error, 3 from `--die-after-trials`, 4 when the
+//! journal cannot be created, read or appended to (one `slo: journal
+//! error:` line on stderr).
 
 use std::hash::{Hash, Hasher};
 use std::path::Path;
@@ -48,7 +53,7 @@ use silcfm_serve::{
 use silcfm_sim::{FaultParams, RunParams, SchemeKind, ShardParams};
 use silcfm_trace::arrivals::{self, ArrivalProfile};
 use silcfm_trace::profiles;
-use silcfm_types::{FxHasher, SystemConfig};
+use silcfm_types::{FxHasher, SilcFmError, SystemConfig};
 
 /// Workload the serving plane runs over: pointer-chasing and
 /// memory-latency-bound, so scheme quality shows up directly in request
@@ -123,6 +128,13 @@ fn parse_args() -> Options {
         usage_exit("--resume and --die-after-trials require --journal");
     }
     opts
+}
+
+/// Reports a journal failure on one line and exits 4: distinct from usage
+/// (2) and the injected crash (3), and without a panic's backtrace.
+fn journal_exit(e: &SilcFmError) -> ! {
+    eprintln!("slo: {e}");
+    std::process::exit(4);
 }
 
 fn usage_exit(msg: &str) -> ! {
@@ -382,17 +394,16 @@ fn main() {
         params.seed, params.accesses_per_core, cfg.core.cores
     );
     let digest = search_digest(&spec_text);
-    let (mut journal, replayed) = match (&opts.journal, opts.resume) {
-        (Some(p), true) => {
-            let (j, done) = SloJournal::resume(Path::new(p), digest).expect("resume SLO journal");
-            println!("slo: resumed {} finished trials from {p}", done.len());
+    let (mut journal, replayed) = match &opts.journal {
+        Some(p) => {
+            let (j, done) = SloJournal::open(Path::new(p), digest, opts.resume)
+                .unwrap_or_else(|e| journal_exit(&e));
+            if opts.resume {
+                println!("slo: resumed {} finished trials from {p}", done.len());
+            }
             (Some(j), done)
         }
-        (Some(p), false) => (
-            Some(SloJournal::create(Path::new(p), digest).expect("create SLO journal")),
-            Vec::new(),
-        ),
-        (None, _) => (None, Vec::new()),
+        None => (None, Vec::new()),
     };
 
     let mut live_done = 0usize;
@@ -435,7 +446,7 @@ fn main() {
             }
         },
     )
-    .expect("SLO search journal");
+    .unwrap_or_else(|e| journal_exit(&e));
     let summaries: Vec<SearchSummary> = searches
         .iter()
         .zip(outcomes)

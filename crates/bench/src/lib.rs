@@ -59,7 +59,7 @@ pub fn experiment_config() -> SystemConfig {
 /// returns results indexed `[workload][scheme]`, in `profiles::all()` /
 /// `kinds` order. All figure binaries funnel through this, so every harness
 /// sweep is parallel; the ordered reassembly in
-/// [`run_grid`](silcfm_sim::runner::run_grid) keeps output bit-identical to
+/// [`run_grid`] keeps output bit-identical to
 /// the old serial loops.
 pub fn run_matrix(kinds: &[SchemeKind], params: &RunParams) -> Vec<Vec<RunResult>> {
     let jobs = ExperimentGrid::new(experiment_config(), *params)

@@ -1,4 +1,8 @@
-//! The Table II on-chip hierarchy: private L1I/L1D per core, shared L2 (LLC).
+//! The Table II on-chip hierarchy: a private L1D per core and a shared L2
+//! (LLC).
+//!
+//! Table II's L1I is configuration only (`SystemConfig::l1i`): trace records
+//! carry data accesses alone, so no instruction fetch ever reaches a cache.
 
 use silcfm_types::{CoreId, PhysAddr, SystemConfig};
 
@@ -57,7 +61,7 @@ pub struct MissTraffic {
     pub writebacks: Writebacks,
 }
 
-/// Result of one load/store/fetch through the hierarchy.
+/// Result of one load or store through the hierarchy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HierarchyAccess {
     /// On-chip latency in CPU cycles (L1, or L1+L2); memory latency for LLC
@@ -77,9 +81,9 @@ impl HierarchyAccess {
 /// Aggregate hit/miss statistics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HierarchyStats {
-    /// L1 (instruction + data) hits.
+    /// L1D hits.
     pub l1_hits: u64,
-    /// L1 misses.
+    /// L1D misses.
     pub l1_misses: u64,
     /// Shared L2 hits.
     pub l2_hits: u64,
@@ -99,12 +103,11 @@ impl HierarchyStats {
     }
 }
 
-/// Private L1 caches per core plus a shared L2, with write-back propagation:
+/// A private L1D per core plus a shared L2, with write-back propagation:
 /// dirty L1 victims are installed in L2, dirty L2 victims become memory
 /// writebacks.
 #[derive(Debug, Clone)]
 pub struct CacheHierarchy {
-    l1i: Vec<SetAssocCache>,
     l1d: Vec<SetAssocCache>,
     l2: SetAssocCache,
     line_bytes: u64,
@@ -122,7 +125,6 @@ impl CacheHierarchy {
     pub fn new(cfg: &SystemConfig) -> Self {
         let cores = usize::from(cfg.core.cores);
         Self {
-            l1i: (0..cores).map(|_| SetAssocCache::new(cfg.l1i)).collect(),
             l1d: (0..cores).map(|_| SetAssocCache::new(cfg.l1d)).collect(),
             l2: SetAssocCache::new(cfg.l2),
             line_bytes: u64::from(cfg.l2.line_bytes),
@@ -143,24 +145,9 @@ impl CacheHierarchy {
         &self.stats
     }
 
-    /// Performs a data load/store from `core`.
-    pub fn access_data(&mut self, core: CoreId, addr: PhysAddr, is_write: bool) -> HierarchyAccess {
-        let kind = if is_write {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
-        self.access(core, addr, kind, false)
-    }
-
-    /// Performs an instruction fetch from `core`.
-    pub fn access_inst(&mut self, core: CoreId, addr: PhysAddr) -> HierarchyAccess {
-        self.access(core, addr, AccessKind::Read, true)
-    }
-
     /// Clears all cache contents and statistics.
     pub fn reset(&mut self) {
-        for c in self.l1i.iter_mut().chain(self.l1d.iter_mut()) {
+        for c in &mut self.l1d {
             c.reset();
         }
         self.l2.reset();
@@ -171,26 +158,19 @@ impl CacheHierarchy {
         };
     }
 
-    fn access(
-        &mut self,
-        core: CoreId,
-        addr: PhysAddr,
-        kind: AccessKind,
-        is_fetch: bool,
-    ) -> HierarchyAccess {
+    /// Performs a data load/store from `core`.
+    pub fn access_data(&mut self, core: CoreId, addr: PhysAddr, is_write: bool) -> HierarchyAccess {
+        let kind = if is_write {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        };
         let line = match self.line_shift {
             Some(s) => addr.value() >> s,
             None => addr.value() / self.line_bytes,
         };
-        let l1 = if is_fetch {
-            // silcfm-lint: allow(P1) -- per-core vectors are sized to the core count at construction
-            &mut self.l1i[core.index()]
-        } else {
-            // silcfm-lint: allow(P1) -- per-core vectors are sized to the core count at construction
-            &mut self.l1d[core.index()]
-        };
-
-        let l1_res = l1.access(line, kind);
+        // silcfm-lint: allow(P1) -- per-core vectors are sized to the core count at construction
+        let l1_res = self.l1d[core.index()].access(line, kind);
         if l1_res.hit {
             self.stats.l1_hits += 1;
             return HierarchyAccess {
@@ -275,16 +255,6 @@ mod tests {
         assert!(!res.is_llc_miss(), "shared L2 services the sibling");
         assert_eq!(res.latency_cycles, 4 + 11);
         assert_eq!(h.stats().l2_hits, 1);
-    }
-
-    #[test]
-    fn instruction_and_data_l1_are_separate() {
-        let mut h = hierarchy();
-        let a = PhysAddr::new(0x2000);
-        h.access_inst(CoreId::new(0), a);
-        // A data access to the same line still misses its own L1 (hits L2).
-        let res = h.access_data(CoreId::new(0), a, false);
-        assert_eq!(res.latency_cycles, 4 + 11);
     }
 
     #[test]

@@ -110,6 +110,23 @@ impl<R: Record> Journal<R> {
         Ok(Self(file, PhantomData))
     }
 
+    /// Opens the journal a run with a `--resume`-style flag should use:
+    /// with `resume` and an existing file, [`Journal::resume`] it;
+    /// otherwise [`Journal::create`] a fresh one with no finished records.
+    /// A resume of a journal that was never written therefore starts the
+    /// work from the beginning instead of failing.
+    ///
+    /// # Errors
+    ///
+    /// As [`Journal::create`] and [`Journal::resume`].
+    pub fn open(path: &Path, digest: u64, resume: bool) -> Result<(Self, Vec<R>), SilcFmError> {
+        if resume && path.exists() {
+            Self::resume(path, digest)
+        } else {
+            Ok((Self::create(path, digest)?, Vec::new()))
+        }
+    }
+
     /// Appends one record. The line goes to the file in one unbuffered
     /// write before this returns, so a crash after this call never loses
     /// the record.
@@ -369,6 +386,23 @@ mod tests {
         let got = &done[0].result;
         assert_eq!(got.access_rate.to_bits(), r.result.access_rate.to_bits());
         assert_eq!(got.mpki.to_bits(), r.result.mpki.to_bits());
+    }
+
+    #[test]
+    fn open_resumes_only_an_existing_journal() {
+        let path = tmp("open.journal");
+        let _ = std::fs::remove_file(&path);
+        // Resuming a journal that was never written starts a fresh one.
+        let (mut w, done) = Journal::<JobRecord>::open(&path, 5, true).unwrap();
+        assert!(done.is_empty());
+        w.append(&record(0, 100)).unwrap();
+        drop(w);
+        let (_w, done) = Journal::<JobRecord>::open(&path, 5, true).unwrap();
+        assert_eq!(done, vec![record(0, 100)], "an existing journal resumes");
+        let (_w, done) = Journal::<JobRecord>::open(&path, 5, false).unwrap();
+        assert!(done.is_empty(), "without resume the journal starts over");
+        let (_w, done) = Journal::<JobRecord>::resume(&path, 5).unwrap();
+        assert!(done.is_empty(), "and the old records are gone");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! * each [`Job`] is self-contained (its own profile, scheme, config and
 //!   seed), so execution order cannot leak into results;
 //! * per-job seeds are derived deterministically from a base seed and the
-//!   job's grid index via [`SplitMix64`](silcfm_types::rng::SplitMix64), so
+//!   job's grid index via [`SplitMix64`], so
 //!   regridding or resharding never changes any individual run;
 //! * workers tag each result with its job index and the pool reassembles
 //!   them in index order, so aggregate output is a pure function of the grid.
@@ -279,7 +279,8 @@ pub fn run_grid(
 /// Runs `jobs` the way `spec` says with a crash-safe journal at `path`:
 /// every finished job is appended (and flushed) the moment its worker
 /// reports it, and with `resume == true` an existing journal's completed
-/// jobs are loaded instead of re-run. Results come back in job order and —
+/// jobs are loaded instead of re-run (a missing journal starts fresh, see
+/// [`Journal::open`]). Results come back in job order and —
 /// because each job is hermetic and the journal stores full bit-exact
 /// records — the aggregate is identical whether the grid ran uninterrupted,
 /// was killed and resumed, or was resumed with nothing left to do.
@@ -307,11 +308,7 @@ pub fn run_grid_journaled(
     mut on_done: impl FnMut(usize, &RunResult),
 ) -> Result<Vec<RunResult>, SilcFmError> {
     let digest = journal::grid_digest(jobs, spec.faults.as_ref());
-    let (mut journal, done) = if resume && path.exists() {
-        Journal::resume(path, digest)?
-    } else {
-        (Journal::create(path, digest)?, Vec::new())
-    };
+    let (mut journal, done) = Journal::open(path, digest, resume)?;
     let mut slots: Vec<Option<RunResult>> = vec![None; jobs.len()];
     for JobRecord { index, result } in done {
         if let Some(slot) = slots.get_mut(index) {

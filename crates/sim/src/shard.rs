@@ -705,7 +705,7 @@ pub fn run_system_sharded<T: Tracer>(
 /// [`ServiceTap`]: the request-serving plane feeds admission-planned
 /// streams in through `source` and observes completions through `tap`,
 /// over the same producer/consumer machinery and epoch-barrier merge.
-/// With [`WorkloadSource`]-equivalent streams and [`NullTap`] this *is*
+/// With one [`WorkloadGen`] stream per lane and [`NullTap`] this *is*
 /// `run_system_sharded` — the closed-loop spelling delegates here.
 pub fn run_system_sharded_tapped<T: Tracer, L: LaneSource, S: ServiceTap>(
     system: &mut System<T>,

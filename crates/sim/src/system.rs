@@ -32,17 +32,17 @@ pub struct SystemOutcome {
     pub llc_misses: u64,
 }
 
-/// Per-core execution state: the core model plus the scheduler bookkeeping
-/// that used to live in parallel vectors. One struct per core means the run
-/// loop touches exactly one bounds-checked element per serviced access.
+/// Per-core execution state: the core model plus the scheduler bookkeeping.
+/// One struct per core means the run loop touches exactly one
+/// bounds-checked element per serviced access; only the issue times live
+/// apart, in the run loop's dense array, because the pick reads every
+/// lane's on every access.
 struct Lane {
     core: Core,
     /// The record waiting to issue.
     pending: TraceRecord,
     /// Memory accesses still to issue on this lane.
     remaining: u64,
-    /// Next issue time (`None` = lane finished).
-    next: Option<u64>,
     /// Cycle at which this lane retired its last instruction.
     finish_time: u64,
     /// Records pulled from the feed in bulk but not yet issued. Chunked
@@ -163,6 +163,25 @@ impl ServiceTap for NullTap {
     const ENABLED: bool = false;
 
     fn on_serviced(&mut self, _: usize, _: u64, _: u64, _: u64, _: u64) {}
+}
+
+/// Issue time marking a finished lane in the run loop's dense schedule. A
+/// live lane's issue time is a cycle count, which never reaches it.
+const FINISHED: u64 = u64::MAX;
+
+/// The run loop's pick: the lane with the smallest issue time, the lowest
+/// index among ties, or `None` once every lane is [`FINISHED`]. For the
+/// handful of cores a linear scan of the dense times beats heap
+/// maintenance on every access; the strict `<` in index order keeps the
+/// first of equal times, the order a min-heap over `(time, index)` gives.
+fn next_lane(issue_at: &[u64]) -> Option<(u64, usize)> {
+    let mut best = (FINISHED, 0);
+    for (i, &t) in issue_at.iter().enumerate() {
+        if t < best.0 {
+            best = (t, i);
+        }
+    }
+    (best.0 != FINISHED).then_some(best)
 }
 
 /// The serial feed: one generator per lane, called inline from the run loop.
@@ -397,7 +416,6 @@ impl<T: Tracer> System<T> {
                     core,
                     pending: TraceRecord::load(0, VirtAddr::new(0), 0),
                     remaining: accesses_per_core,
-                    next: None,
                     finish_time: 0,
                     // silcfm-lint: allow(A1) -- lane setup, before the access loop: the buffer is allocated once here and refilled in place by `Lane::take`
                     buf: Vec::new(),
@@ -406,16 +424,22 @@ impl<T: Tracer> System<T> {
                 }
             })
             .collect();
+        // Each lane's next issue time, dense so the per-record pick scans
+        // one small array instead of every `Lane`; `FINISHED` marks a lane
+        // with nothing left to issue.
+        // silcfm-lint: allow(A1) -- lane setup, before the access loop: allocated once per run
+        let mut issue_at = vec![FINISHED; n];
         for (i, lane) in lanes.iter_mut().enumerate() {
             let pending = lane.take(feed, i);
             lane.core.execute_compute(u64::from(pending.compute));
             // Open-loop arrival stamps floor the issue time; `not_before`
             // is 0 for ordinary records, so `.max` is the identity there.
-            lane.next = Some(
-                lane.core
+            if let Some(at) = issue_at.get_mut(i) {
+                *at = lane
+                    .core
                     .issue_time(pending.dependent)
-                    .max(pending.not_before),
-            );
+                    .max(pending.not_before);
+            }
             lane.pending = pending;
         }
 
@@ -424,18 +448,12 @@ impl<T: Tracer> System<T> {
         let mut out = SchemeOutcome::empty();
 
         // Each step services the lane with the smallest (issue time, index)
-        // pair — the same order a min-heap would give, but for the handful
-        // of cores a linear scan is cheaper than heap maintenance on every
-        // access. The index comes from `enumerate`, so the re-borrows below
-        // cannot miss; the `else` arms keep the loop panic-free regardless.
-        while let Some((t_sched, i)) = lanes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, l)| l.next.map(|t| (t, i)))
-            .min()
-        {
+        // pair; see `next_lane`. The index is below `issue_at.len() ==
+        // lanes.len()`, so the re-borrows below cannot miss; the `else` arms
+        // keep the loop panic-free regardless.
+        while let Some((t_sched, i)) = next_lane(&issue_at) {
             let Some(lane) = lanes.get_mut(i) else {
-                debug_assert!(false, "scheduler picked a lane index from enumerate");
+                debug_assert!(false, "scheduler picked a lane index below the lane count");
                 break;
             };
             let rec = lane.pending;
@@ -552,19 +570,26 @@ impl<T: Tracer> System<T> {
             }
 
             let Some(lane) = lanes.get_mut(i) else {
-                debug_assert!(false, "scheduler picked a lane index from enumerate");
+                debug_assert!(false, "scheduler picked a lane index below the lane count");
                 break;
             };
             lane.core.execute_memory(completion, rec.dependent);
             lane.remaining -= 1;
-            if lane.remaining > 0 {
+            let next = if lane.remaining > 0 {
                 let rec = lane.take(feed, i);
                 lane.core.execute_compute(u64::from(rec.compute));
-                lane.next = Some(lane.core.issue_time(rec.dependent).max(rec.not_before));
                 lane.pending = rec;
+                lane.core.issue_time(rec.dependent).max(rec.not_before)
             } else {
-                lane.next = None;
                 lane.finish_time = lane.core.finish();
+                FINISHED
+            };
+            debug_assert!(
+                lane.remaining == 0 || next != FINISHED,
+                "a live lane's issue time collided with the finished marker"
+            );
+            if let Some(at) = issue_at.get_mut(i) {
+                *at = next;
             }
         }
 
@@ -662,6 +687,7 @@ mod tests {
     use super::*;
     use silcfm_baselines::RandomStatic;
     use silcfm_trace::profiles;
+    use silcfm_types::rng::Rng;
 
     fn space() -> AddressSpace {
         // Enough for the scaled footprint of the test profile.
@@ -714,6 +740,24 @@ mod tests {
             mixed.cycles,
             far.cycles
         );
+    }
+
+    #[test]
+    fn dense_pick_matches_the_option_scan() {
+        silcfm_types::check::forall("dense_lane_pick", |rng| {
+            let lanes = rng.gen_range(1..17usize);
+            // A narrow time range forces ties; some lanes are finished.
+            let keys: Vec<Option<u64>> = (0..lanes)
+                .map(|_| rng.gen_bool(0.7).then(|| rng.gen_range(0..4u64)))
+                .collect();
+            let reference = keys
+                .iter()
+                .enumerate()
+                .filter_map(|(i, t)| t.map(|t| (t, i)))
+                .min();
+            let dense: Vec<u64> = keys.iter().map(|t| t.unwrap_or(FINISHED)).collect();
+            assert_eq!(next_lane(&dense), reference, "keys {keys:?}");
+        });
     }
 
     #[test]

@@ -210,6 +210,16 @@ impl WorkloadGen {
     fn choose_hot_pages(profile: &WorkloadProfile, rng: &mut Xoshiro256StarStar) -> Vec<u64> {
         let count = profile.hot_pages() as usize;
         let mut pages = Vec::with_capacity(count);
+        // One flag per footprint page, set once the page is in `pages`: the
+        // dedup below costs O(1) per draw instead of a scan of `pages`.
+        // silcfm-lint: allow(A1) -- generator setup: one flag vector per hot-set draw, before the first record
+        let mut chosen = vec![false; profile.footprint_pages as usize];
+        // Marks `p` chosen; returns whether it was not chosen before.
+        let mut choose = |p: u64| {
+            chosen
+                .get_mut(p as usize)
+                .is_some_and(|c| !std::mem::replace(c, true))
+        };
         let clustered_target = (count as f64 * profile.hot_clustering).round() as usize;
 
         // Clustered portion: fill whole congruence residues so hot pages
@@ -221,6 +231,7 @@ impl WorkloadGen {
                 let p = residue + i * CLUSTER_STRIDE;
                 if p < profile.footprint_pages {
                     pages.push(p);
+                    choose(p);
                     if pages.len() >= clustered_target {
                         break 'outer;
                     }
@@ -232,7 +243,7 @@ impl WorkloadGen {
         // Remainder: uniform random, deduplicated against what we have.
         while pages.len() < count {
             let p = rng.gen_range(0..profile.footprint_pages);
-            if !pages.contains(&p) {
+            if choose(p) {
                 pages.push(p);
             }
         }

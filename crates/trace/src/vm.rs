@@ -46,8 +46,9 @@ pub struct PageMapper {
     /// locality within 2 KB pages makes it hit on most accesses, skipping
     /// the map probe entirely.
     last: Option<(u64, u64)>,
-    /// Shuffled physical page pool (RandomSeeded) consumed from the back.
-    pool: Vec<u64>,
+    /// Random first-touch placement (RandomSeeded, FarOnly); empty for
+    /// Interleaved.
+    pool: PagePool,
     next_nm: u64,
     next_fm: u64,
     counter: u64,
@@ -59,15 +60,13 @@ impl PageMapper {
         let nm_pages = space.nm_bytes() / PAGE_BYTES;
         let total_pages = space.total_bytes() / PAGE_BYTES;
         let pool = match policy {
-            PlacementPolicy::RandomSeeded(seed) => {
-                Self::shuffled_pool((0..total_pages).collect(), seed)
-            }
+            PlacementPolicy::RandomSeeded(seed) => PagePool::new(0, total_pages, seed),
             PlacementPolicy::FarOnly => {
                 // A fixed internal seed: the baseline must be reproducible
                 // regardless of the workload seed.
-                Self::shuffled_pool((nm_pages..total_pages).collect(), 0x5E_EDF0_FA11)
+                PagePool::new(nm_pages, total_pages - nm_pages, 0x5E_EDF0_FA11)
             }
-            PlacementPolicy::Interleaved => Vec::new(),
+            PlacementPolicy::Interleaved => PagePool::new(0, 0, 0),
         };
         Self {
             space,
@@ -117,12 +116,6 @@ impl PageMapper {
         ))
     }
 
-    fn shuffled_pool(mut pages: Vec<u64>, seed: u64) -> Vec<u64> {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        rng.shuffle(&mut pages);
-        pages
-    }
-
     fn allocate(&mut self) -> Option<u64> {
         let nm_pages = self.space.nm_bytes() / PAGE_BYTES;
         let total_pages = self.space.total_bytes() / PAGE_BYTES;
@@ -151,9 +144,72 @@ impl PageMapper {
     }
 }
 
+/// The pages `first..first + len` in the order popping a seeded
+/// [`Rng::shuffle`] of them from the back yields, drawn one at a time on
+/// demand: construction does no per-page work, and a job pays only for the
+/// pages it touches, not for the whole address space.
+///
+/// `shuffle` walks `i` from `len - 1` down to 1, swapping `a[i]` with
+/// `a[j]` for `j` drawn from `0..=i`; no later step touches `a[i]` again,
+/// so `a[i]` is final after step `i`, and popping from the back returns
+/// exactly those finals in that order. Pop *k* therefore runs step
+/// `i = len - k` alone: draw `j`, return `a[j]`, and move `a[i]` (which
+/// nothing returns any more) into slot `j`. The last pop (`i == 0`) returns
+/// `a[0]` and draws nothing, as `shuffle` never draws for it. The RNG is
+/// the pool's own, so the draws, and with them the pages, are the eager
+/// shuffle's bit for bit.
+#[derive(Debug, Clone)]
+struct PagePool {
+    first: u64,
+    /// Pages not yet popped; the next pop runs shuffle step `left - 1`.
+    left: u32,
+    /// Slot `k` holds `a[k] ^ k`, where `a[k]` is the page offset now at
+    /// position `k`: the zeroed vector is the identity arrangement, and
+    /// only displaced slots are ever written.
+    displaced: Vec<u32>,
+    rng: Xoshiro256StarStar,
+}
+
+impl PagePool {
+    fn new(first: u64, len: u64, seed: u64) -> Self {
+        // Page offsets are stored as u32: 2^32 pages of 2 KB is 8 TiB, far
+        // beyond any simulated address space (a longer range is capped).
+        debug_assert!(len <= u64::from(u32::MAX), "{len} pages overflow the pool");
+        let left = u32::try_from(len).unwrap_or(u32::MAX);
+        Self {
+            first,
+            left,
+            displaced: vec![0; left as usize],
+            rng: Xoshiro256StarStar::seed_from_u64(seed),
+        }
+    }
+
+    fn pop(&mut self) -> Option<u64> {
+        let i = self.left.checked_sub(1)?;
+        self.left = i;
+        let j = if i == 0 {
+            0
+        } else {
+            self.rng.gen_range(0..i + 1)
+        };
+        let (Some(&at_i), Some(&at_j)) = (
+            self.displaced.get(i as usize),
+            self.displaced.get(j as usize),
+        ) else {
+            debug_assert!(false, "pool slots cover 0..len");
+            return None;
+        };
+        if let Some(slot) = self.displaced.get_mut(j as usize) {
+            *slot = at_i ^ i ^ j;
+        }
+        Some(self.first + u64::from(at_j ^ j))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use silcfm_types::check::forall;
     use silcfm_types::MemKind;
 
     fn space() -> AddressSpace {
@@ -242,6 +298,26 @@ mod tests {
             }
         }
         assert_eq!(nm, 20, "1 in 5 pages goes to NM at a 4:1 ratio");
+    }
+
+    #[test]
+    fn lazy_pool_pops_what_the_eager_shuffle_pops() {
+        forall("lazy_pool_matches_eager_shuffle", |rng| {
+            let first = rng.gen_range(0..1u64 << 40);
+            let len = rng.gen_range(0..5_001u64);
+            let seed = rng.next_u64();
+            let mut eager: Vec<u64> = (first..first + len).collect();
+            let mut shuffler = Xoshiro256StarStar::seed_from_u64(seed);
+            shuffler.shuffle(&mut eager);
+            let mut lazy = PagePool::new(first, len, seed);
+            while let Some(page) = eager.pop() {
+                assert_eq!(lazy.pop(), Some(page), "len {len}, {} left", eager.len());
+            }
+            assert_eq!(lazy.pop(), None, "an exhausted pool stays empty");
+            assert_eq!(lazy.pop(), None);
+            // The pool consumed exactly the shuffle's draws, no more.
+            assert_eq!(lazy.rng.next_u64(), shuffler.next_u64(), "len {len}");
+        });
     }
 
     #[test]

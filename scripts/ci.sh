@@ -37,10 +37,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -D warnings (offline)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-# Doc links are checked like code: a deleted or renamed item must not
-# leave a dangling intra-doc link behind.
-echo "==> cargo doc (offline, broken intra-doc links are errors)"
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
+# Docs are checked like code: every rustdoc warning is an error, so a
+# deleted or renamed item cannot leave a dangling intra-doc link behind,
+# and public docs cannot link private items.
+echo "==> cargo doc (offline, rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" \
   cargo doc -q --workspace --no-deps --offline
 
 echo "==> cargo build --release (offline)"
@@ -154,7 +155,9 @@ cargo run --release --offline -p silcfm-bench --bin slo -- --smoke
 # fresh regulators must finish with the byte-identical aggregate an
 # uninterrupted search prints, and with a journal byte-identical to the
 # uninterrupted search's (the search is sequential, so unlike the grid
-# journal above its record order is fixed).
+# journal above its record order is fixed). The uninterrupted search is
+# itself a `--resume` of a journal that does not exist yet: like `chaos`,
+# `slo` must then start a fresh journal rather than fail.
 echo "==> SLO search kill-and-resume (smoke)"
 rc=0
 "$slo_bin" --smoke --no-write --skip-check \
@@ -163,7 +166,7 @@ rc=0
 slo_resumed="$("$slo_bin" --smoke --no-write --skip-check \
   --journal "$journal_dir/slo.journal" --resume | grep -o 'aggregate=[0-9a-f]*')"
 slo_fresh="$("$slo_bin" --smoke --no-write --skip-check \
-  --journal "$journal_dir/slo-fresh.journal" | grep -o 'aggregate=[0-9a-f]*')"
+  --journal "$journal_dir/slo-fresh.journal" --resume | grep -o 'aggregate=[0-9a-f]*')"
 [ -n "$slo_resumed" ] && [ "$slo_resumed" = "$slo_fresh" ] || {
   echo "SLO resume aggregate mismatch: resumed='$slo_resumed' fresh='$slo_fresh'"
   exit 1; }
