@@ -210,15 +210,18 @@ impl WorkloadGen {
     fn choose_hot_pages(profile: &WorkloadProfile, rng: &mut Xoshiro256StarStar) -> Vec<u64> {
         let count = profile.hot_pages() as usize;
         let mut pages = Vec::with_capacity(count);
-        // One flag per footprint page, set once the page is in `pages`: the
+        // One bit per footprint page, set once the page is in `pages`: the
         // dedup below costs O(1) per draw instead of a scan of `pages`.
-        // silcfm-lint: allow(A1) -- generator setup: one flag vector per hot-set draw, before the first record
-        let mut chosen = vec![false; profile.footprint_pages as usize];
+        // silcfm-lint: allow(A1) -- generator setup: one bit vector per hot-set draw, before the first record
+        let mut chosen = vec![0u64; profile.footprint_pages.div_ceil(64) as usize];
         // Marks `p` chosen; returns whether it was not chosen before.
         let mut choose = |p: u64| {
-            chosen
-                .get_mut(p as usize)
-                .is_some_and(|c| !std::mem::replace(c, true))
+            let bit = 1u64 << (p % 64);
+            chosen.get_mut((p / 64) as usize).is_some_and(|word| {
+                let fresh = *word & bit == 0;
+                *word |= bit;
+                fresh
+            })
         };
         let clustered_target = (count as f64 * profile.hot_clustering).round() as usize;
 

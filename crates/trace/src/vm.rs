@@ -164,11 +164,18 @@ struct PagePool {
     /// Pages not yet popped; the next pop runs shuffle step `left - 1`.
     left: u32,
     /// Slot `k` holds `a[k] ^ k`, where `a[k]` is the page offset now at
-    /// position `k`: the zeroed vector is the identity arrangement, and
-    /// only displaced slots are ever written.
-    displaced: Vec<u32>,
+    /// position `k`; it lives at `k % POOL_BLOCK` of block `k / POOL_BLOCK`.
+    /// A block is allocated on its first write and an absent one reads as
+    /// zeros, the identity arrangement: the pool never asks the allocator
+    /// for one buffer the size of the address space, whose placement (and
+    /// with it how many pages each job faults in) would depend on the heap's
+    /// history rather than on the job.
+    blocks: Vec<Option<Box<[u32; POOL_BLOCK]>>>,
     rng: Xoshiro256StarStar,
 }
+
+/// Slots per [`PagePool`] block: 4 KiB of `u32`.
+const POOL_BLOCK: usize = 1024;
 
 impl PagePool {
     fn new(first: u64, len: u64, seed: u64) -> Self {
@@ -179,9 +186,26 @@ impl PagePool {
         Self {
             first,
             left,
-            displaced: vec![0; left as usize],
+            blocks: std::iter::repeat_with(|| None)
+                .take((left as usize).div_ceil(POOL_BLOCK))
+                .collect(),
             rng: Xoshiro256StarStar::seed_from_u64(seed),
         }
+    }
+
+    /// Slot `k`'s stored word; 0 while its block is absent.
+    fn slot(&self, k: u32) -> u32 {
+        let k = k as usize;
+        debug_assert!(
+            k < self.blocks.len() * POOL_BLOCK,
+            "pool slots cover 0..len"
+        );
+        self.blocks
+            .get(k / POOL_BLOCK)
+            .and_then(Option::as_ref)
+            .and_then(|block| block.get(k % POOL_BLOCK))
+            .copied()
+            .unwrap_or(0)
     }
 
     fn pop(&mut self) -> Option<u64> {
@@ -192,15 +216,14 @@ impl PagePool {
         } else {
             self.rng.gen_range(0..i + 1)
         };
-        let (Some(&at_i), Some(&at_j)) = (
-            self.displaced.get(i as usize),
-            self.displaced.get(j as usize),
-        ) else {
-            debug_assert!(false, "pool slots cover 0..len");
-            return None;
-        };
-        if let Some(slot) = self.displaced.get_mut(j as usize) {
-            *slot = at_i ^ i ^ j;
+        let (at_i, at_j) = (self.slot(i), self.slot(j));
+        let k = j as usize;
+        if let Some(block) = self.blocks.get_mut(k / POOL_BLOCK) {
+            // silcfm-lint: allow(A1) -- one 4 KiB block on a block's first write, at most len / 1024 per job
+            let block = block.get_or_insert_with(|| Box::new([0; POOL_BLOCK]));
+            if let Some(slot) = block.get_mut(k % POOL_BLOCK) {
+                *slot = at_i ^ i ^ j;
+            }
         }
         Some(self.first + u64::from(at_j ^ j))
     }
