@@ -170,7 +170,7 @@ fn traced_scheme_soak(opts: &Opts, violations: &mut Vec<String>) {
         };
 
         let spec = RunSpec {
-            tier: Tier::Ring,
+            tier: Tier::Sampled { period: 1 },
             trace,
             faults: Some(faults),
             ..RunSpec::default()
@@ -179,7 +179,7 @@ fn traced_scheme_soak(opts: &Opts, violations: &mut Vec<String>) {
             Ok(out) => (
                 out.result,
                 out.faults,
-                out.obs.expect("the ring tier always reports"),
+                out.obs.expect("the traced tier always reports"),
             ),
             Err(e) => {
                 violations.push(format!("{tag}: run failed: {e}"));
@@ -257,7 +257,7 @@ fn traced_scheme_soak(opts: &Opts, violations: &mut Vec<String>) {
                 obs,
                 ..
             }) => {
-                let rep2 = obs.expect("the ring tier always reports");
+                let rep2 = obs.expect("the traced tier always reports");
                 check(s2 == stats, "fault ledger differs on replay".into());
                 check(
                     r2.cycles == result.cycles && r2.traffic == result.traffic,

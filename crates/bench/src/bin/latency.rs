@@ -24,18 +24,12 @@
 //!   --no-write    measure and print, but do not write the JSON
 //!   --skip-check  skip the serial-vs-sharded byte-identity gate
 
+use silcfm_bench::{lineup, write_artifact};
 use silcfm_obs::{LatencyBreakdown, QuantileSketch};
 use silcfm_sim::runner::{default_threads, run_grid, ExperimentGrid};
-use silcfm_sim::{
-    run_spec, Engine, RunParams, RunSpec, SchemeKind, ShardParams, Tier, TraceParams,
-};
+use silcfm_sim::{run_spec, Engine, RunParams, RunSpec, SchemeKind, ShardParams, Tier};
 use silcfm_trace::profiles;
 use silcfm_types::{AccessClass, SystemConfig};
-
-/// Ring capacity for the tracers. The sketches are fed by the epoch
-/// sampler's `on_demand` hook, not the rings, so a small ring keeps memory
-/// flat across the parallel grid without touching the percentiles.
-const EVENTS_CAPACITY: usize = 1 << 14;
 
 /// Workloads the `--smoke` tier covers: one streaming-heavy, one
 /// pointer-chasing, one bandwidth-bound profile — enough class diversity
@@ -82,13 +76,6 @@ fn parse_args() -> Options {
     opts
 }
 
-/// The full lineup: the no-NM baseline plus the Fig. 7 schemes.
-fn lineup() -> Vec<SchemeKind> {
-    let mut kinds = vec![SchemeKind::NoNm];
-    kinds.extend(SchemeKind::fig7_lineup());
-    kinds
-}
-
 /// Sketch bytes, for determinism comparison: the codec is bit-exact, so
 /// string equality *is* distribution equality.
 fn breakdown_bytes(lat: &LatencyBreakdown) -> String {
@@ -122,7 +109,7 @@ fn sharded_gate(
                 ..*spec
             };
             let out = run_spec(profile, kind, cfg, params, &sharded).expect("fault-free run");
-            let got = breakdown_bytes(&out.obs.expect("ring tier reports").latency);
+            let got = breakdown_bytes(&out.obs.expect("the metrics tier reports").latency);
             assert_eq!(
                 got,
                 want,
@@ -157,12 +144,11 @@ fn main() {
     } else {
         (SystemConfig::experiment(), RunParams::quick(), "quick")
     };
+    // The sketches are fed by the epoch sampler's `on_demand` hook, not by
+    // event rings, so the metrics-only tier measures them without
+    // buffering a single event.
     let spec = RunSpec {
-        tier: Tier::Ring,
-        trace: TraceParams {
-            events_capacity: EVENTS_CAPACITY,
-            ..TraceParams::default_capture()
-        },
+        tier: Tier::MetricsOnly,
         ..RunSpec::default()
     };
     let workloads: Vec<&str> = if opts.smoke {
@@ -187,7 +173,7 @@ fn main() {
     let results: Vec<LatencyBreakdown> = run_grid(&jobs, &spec, default_threads())
         .expect("fault-free grid")
         .into_iter()
-        .map(|out| out.obs.expect("ring tier reports").latency)
+        .map(|out| out.obs.expect("the metrics tier reports").latency)
         .collect();
 
     // Results are workload-major in `kinds` order (the grid contract).
@@ -293,10 +279,7 @@ fn main() {
             .collect();
         out.push_str(&scheme_bodies.join(",\n"));
         out.push_str("\n  }\n}\n");
-        if let Some(dir) = std::path::Path::new(&opts.out).parent() {
-            std::fs::create_dir_all(dir).expect("create results dir");
-        }
-        std::fs::write(&opts.out, out).expect("write results JSON");
+        write_artifact(&opts.out, &out);
         println!("\nwrote {}", opts.out);
     }
 }

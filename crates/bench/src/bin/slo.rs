@@ -628,10 +628,7 @@ fn main() {
             .collect();
         out.push_str(&scheme_bodies.join(",\n"));
         out.push_str("\n  }\n}\n");
-        if let Some(dir) = std::path::Path::new(&opts.out).parent() {
-            std::fs::create_dir_all(dir).expect("create results dir");
-        }
-        std::fs::write(&opts.out, out).expect("write results JSON");
+        silcfm_bench::write_artifact(&opts.out, &out);
         println!("\nwrote {}", opts.out);
     }
 }

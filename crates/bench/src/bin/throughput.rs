@@ -1,5 +1,6 @@
-//! Simulator throughput benchmark: simulated accesses per second, per
-//! scheme and per layer.
+//! Simulator throughput benchmark and performance-regression gate:
+//! simulated accesses per second, per scheme, per layer and per tracer
+//! tier.
 //!
 //! Every figure in the paper is produced by replaying post-LLC-miss
 //! accesses through [`MemoryScheme::access`], so simulated-accesses-per-
@@ -9,39 +10,43 @@
 //! * **scheme-only** — a pre-generated access stream driven straight into
 //!   the scheme, isolating the placement logic (remap lookups, swap
 //!   bookkeeping, op emission) from the rest of the machine;
-//! * **full-system** — [`silcfm_sim::run`], i.e. cores + caches + scheme +
-//!   both DRAM timing models, which is what the experiment harnesses pay.
+//! * **full-system** — [`silcfm_sim::run_spec`], i.e. cores + caches +
+//!   scheme + both DRAM timing models, which is what the experiment
+//!   harnesses pay: every scheme untraced, and SILC-FM on each traced
+//!   [`Tier`] of [`TRACED`].
 //!
 //! Each scheme gets a fixed access budget spread evenly over the Table III
 //! workload profiles. The binary also times the `scheme_shootout` grid
-//! (serial vs sharded-parallel) so whole-grid speed is tracked alongside
-//! per-access speed. Results land in `results/BENCH_throughput.json`.
+//! (serial vs parallel). Results land in `results/BENCH_throughput.json`;
+//! the same full-system rates make one row of the trajectory,
+//! `BENCH_trajectory.json` beside it ([`silcfm_bench::trajectory`]).
 //!
 //! Run with: `cargo run --release -p silcfm-bench --bin throughput`
 //! Options:
-//!   --budget N    accesses per scheme per layer (default 560000)
-//!   --repeats N   repetitions per measurement; best rate wins (default 3)
+//!   --budget N    accesses per scheme per layer (default 560000; the
+//!                 trajectory's rows are measured at 16000)
+//!   --repeats N   interleaved rounds; best rate per regime wins (default 3)
 //!   --out PATH    output JSON path (default results/BENCH_throughput.json)
-//!   --no-write    measure and print, but do not write the JSON
+//!   --no-write    measure and print, but do not write the output JSON
 //!   --skip-grid   skip the serial-vs-parallel grid timing
-//!   --overhead    also measure SILC-FM full-system on every traced tier
-//!                 of [`Tier`]: the ring tracers and epoch sampler live
-//!                 (tracer-on vs tracer-off acc/s), the metrics-only tier
-//!                 (latency sketches ON, no event buffering), plus the
-//!                 lean sampling tier at 1-in-N rates
-//!   --baseline P  JSON from a pre-change build of this binary; its rates
-//!                 are embedded as "pre_change" and a full-system SILC-FM
-//!                 speedup ratio is computed against it
+//!   --check       exit 1 if a gated ratio left its band around the
+//!                 trajectory's last row
+//!   --label S     append this run to the trajectory under label S
 //!
-//! Each measurement is repeated `--repeats` times and the best rate is
-//! reported: minimum-time estimation discards interference from whatever
-//! else the host is running, which on shared machines dwarfs the
-//! simulator's own run-to-run variation.
+//! Full-system regimes are round-robined inside every round rather than
+//! each measured `--repeats` times in a row: on a noisy shared host the
+//! noise window drifts over seconds, and back-to-back regimes see the same
+//! window. The best rate per regime across rounds is reported:
+//! minimum-time estimation discards interference from whatever else the
+//! host is running, which dwarfs the simulator's own run-to-run variation.
 //!
 //! [`MemoryScheme::access`]: silcfm_types::MemoryScheme::access
 
+use std::path::Path;
 use std::time::Instant;
 
+use silcfm_bench::trajectory::{self, Row, BAND};
+use silcfm_bench::{lineup, write_artifact};
 use silcfm_sim::experiment::space_for;
 use silcfm_sim::{
     run_grid, run_grid_serial, run_spec, ExperimentGrid, RunParams, RunSpec, SchemeKind, Tier,
@@ -53,19 +58,26 @@ use silcfm_types::{Access, CoreId, SystemConfig};
 /// Default accesses per scheme per layer, spread over the profiles.
 const DEFAULT_BUDGET: u64 = 560_000;
 
-/// Ring capacity for the `--overhead` regimes. The timed region includes
-/// system construction (as it does for the untraced rate, so both sides
-/// pay the same fixed costs) — but a capture-sized 1 Mi-event ring per
-/// tracer means ~75 MB of allocation, which at this benchmark's run
-/// lengths would dwarf the record-path cost being measured. 16 Ki events
-/// is plenty for a steady-state record-cost measurement (the ring wraps;
-/// wrapping *is* the steady state) and allocates in microseconds.
-const OVERHEAD_EVENTS_CAPACITY: usize = 1 << 14;
+/// Ring capacity for the traced regimes. The timed region includes system
+/// construction (as it does for the untraced rate, so both sides pay the
+/// same fixed costs) — but a capture-sized 1 Mi-event ring per tracer
+/// means ~75 MB of allocation, which at this benchmark's run lengths would
+/// dwarf the record-path cost being measured. 16 Ki events is plenty for a
+/// steady-state record-cost measurement (the ring wraps; wrapping *is* the
+/// steady state) and allocates in microseconds.
+const EVENTS_CAPACITY: usize = 1 << 14;
 
-/// 1-in-N sampling periods the `--overhead` mode measures. The smallest
-/// period is the most expensive (it retains the most full events), so the
-/// pair brackets the tier's realistic operating range.
-const SAMPLING_PERIODS: [u64; 2] = [16, 256];
+/// SILC-FM's traced tiers, each priced against its untraced run: full
+/// tracing, the metrics plane alone, and the sampling tracer at two
+/// periods that bracket its operating range. Full tracing comes first, so
+/// in every round it directly follows untraced SILC-FM (the last scheme of
+/// the lineup) and the gated overhead ratio pairs neighbours.
+const TRACED: [Tier; 4] = [
+    Tier::Sampled { period: 1 },
+    Tier::MetricsOnly,
+    Tier::Sampled { period: 16 },
+    Tier::Sampled { period: 256 },
+];
 
 struct Options {
     budget: u64,
@@ -73,8 +85,8 @@ struct Options {
     out: String,
     write: bool,
     grid: bool,
-    overhead: bool,
-    baseline: Option<String>,
+    check: bool,
+    label: Option<String>,
 }
 
 fn parse_args() -> Options {
@@ -84,8 +96,8 @@ fn parse_args() -> Options {
         out: "results/BENCH_throughput.json".to_string(),
         write: true,
         grid: true,
-        overhead: false,
-        baseline: None,
+        check: false,
+        label: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -102,26 +114,19 @@ fn parse_args() -> Options {
             "--out" => opts.out = args.next().expect("--out needs a path"),
             "--no-write" => opts.write = false,
             "--skip-grid" => opts.grid = false,
-            "--overhead" => opts.overhead = true,
-            "--baseline" => opts.baseline = Some(args.next().expect("--baseline needs a path")),
+            "--check" => opts.check = true,
+            "--label" => opts.label = Some(args.next().expect("--label needs a value")),
             other => {
                 eprintln!("unknown argument '{other}'");
                 eprintln!(
                     "usage: throughput [--budget N] [--repeats N] [--out PATH] \
-                     [--no-write] [--skip-grid] [--overhead] [--baseline PATH]"
+                     [--no-write] [--skip-grid] [--check] [--label S]"
                 );
                 std::process::exit(2);
             }
         }
     }
     opts
-}
-
-/// The benchmark lineup: the no-NM baseline plus the Fig. 7 schemes.
-fn lineup() -> Vec<SchemeKind> {
-    let mut kinds = vec![SchemeKind::NoNm];
-    kinds.extend(SchemeKind::fig7_lineup());
-    kinds
 }
 
 /// Pre-generates one post-LLC-miss access stream per profile: the workload
@@ -186,19 +191,16 @@ fn scheme_only_rate(
     best
 }
 
-/// Accesses/sec for one scheme through the full `System::run` pipeline on
-/// `tier`. [`Tier::Off`] is what the experiment harnesses pay; the gap
-/// against it is the price of the tier's observability: the ring tracers
-/// plus metrics plane, the metrics plane (latency sketches) alone, or the
-/// always-on lean sampling tier. The NullTracer build pays nothing (the
-/// emit sites monomorphize away).
+/// Accesses/sec for `kind` on `tier` through the full `System::run`
+/// pipeline, one pass over every profile. [`Tier::Off`] is what the
+/// experiment harnesses pay; the gap against it is the price of the tier's
+/// observability.
 fn full_system_rate(
     kind: SchemeKind,
+    tier: Tier,
     cfg: &SystemConfig,
     params: &RunParams,
     per_profile: u64,
-    repeats: u32,
-    tier: Tier,
 ) -> f64 {
     let cores = u64::from(cfg.core.cores);
     let p = RunParams {
@@ -208,36 +210,44 @@ fn full_system_rate(
     let spec = RunSpec {
         tier,
         trace: TraceParams {
-            events_capacity: OVERHEAD_EVENTS_CAPACITY,
+            events_capacity: EVENTS_CAPACITY,
             ..TraceParams::default_capture()
         },
         ..RunSpec::default()
     };
-    let mut best = 0.0f64;
-    for _ in 0..repeats {
-        let mut total = 0u64;
-        let mut elapsed = 0.0f64;
-        for profile in profiles::all() {
-            let t0 = Instant::now();
-            let out =
-                run_spec(profile, kind, cfg, &p, &spec).expect("a fault-free run cannot fail");
-            elapsed += t0.elapsed().as_secs_f64();
-            std::hint::black_box(&out);
-            total += p.accesses_per_core * cores;
-        }
-        best = best.max(total as f64 / elapsed);
+    let mut total = 0u64;
+    let mut elapsed = 0.0f64;
+    for profile in profiles::all() {
+        let t0 = Instant::now();
+        let out = run_spec(profile, kind, cfg, &p, &spec).expect("a fault-free run cannot fail");
+        elapsed += t0.elapsed().as_secs_f64();
+        std::hint::black_box(&out);
+        total += p.accesses_per_core * cores;
     }
-    best
+    total as f64 / elapsed
 }
 
-/// What `--overhead` measured: the ring tier on/off pair, the metrics-only
-/// (latency-sketch) tier, plus the sampling tier's rate at each period of
-/// [`SAMPLING_PERIODS`].
-struct Overhead {
-    off: f64,
-    on: f64,
-    metrics: f64,
-    sampled: Vec<(u64, f64)>,
+/// The best full-system rate over `repeats` interleaved rounds of every
+/// lineup scheme untraced, then SILC-FM on each tier of [`TRACED`], in
+/// that order.
+fn full_system_rates(
+    cfg: &SystemConfig,
+    params: &RunParams,
+    per_profile: u64,
+    repeats: u32,
+) -> Vec<f64> {
+    let regimes: Vec<(SchemeKind, Tier)> = lineup()
+        .into_iter()
+        .map(|kind| (kind, Tier::Off))
+        .chain(TRACED.map(|tier| (SchemeKind::silcfm(), tier)))
+        .collect();
+    let mut best = vec![0.0f64; regimes.len()];
+    for _ in 0..repeats {
+        for (rate, &(kind, tier)) in best.iter_mut().zip(&regimes) {
+            *rate = rate.max(full_system_rate(kind, tier, cfg, params, per_profile));
+        }
+    }
+    best
 }
 
 /// Times the `scheme_shootout` grid serially and through the sharded pool.
@@ -269,47 +279,38 @@ fn grid_times() -> (usize, usize, f64, f64) {
     (jobs.len(), threads, serial_ms, parallel_ms)
 }
 
-/// Pre-change rates parsed back out of a JSON file written by an older
-/// build of this binary (same format).
-struct Baseline {
-    scheme_only: String,
-    full_system: String,
-    silcfm_scheme_only: Option<f64>,
-    silcfm_full_system: Option<f64>,
-}
-
-/// Extracts the body of a flat `"key": { ... }` object. The input is this
-/// binary's own output, so object bodies never contain nested braces.
-fn extract_object(json: &str, key: &str) -> Option<String> {
-    let tag = format!("\"{key}\": {{");
-    let start = json.find(&tag)? + tag.len();
-    let end = start + json[start..].find('}')?;
-    Some(json[start..end].trim().to_string())
-}
-
-/// Extracts a single `"name": <number>` rate from an object body.
-fn extract_rate(body: &str, name: &str) -> Option<f64> {
-    let tag = format!("\"{name}\": ");
-    let start = body.find(&tag)? + tag.len();
-    let rest = &body[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn load_baseline(path: &str) -> Baseline {
-    let json = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-    let full_system =
-        extract_object(&json, "full_system").expect("baseline JSON has no full_system section");
-    let scheme_only = extract_object(&json, "scheme_only").unwrap_or_default();
-    Baseline {
-        silcfm_full_system: extract_rate(&full_system, "silcfm"),
-        silcfm_scheme_only: extract_rate(&scheme_only, "silcfm"),
-        scheme_only,
-        full_system,
+/// Gates `now` against the trajectory's last row; exits 1 when a ratio
+/// left its band or the trajectory holds no rows.
+fn check(rows: &[Row], now: &Row) {
+    let Some(last) = rows.last() else {
+        eprintln!("the trajectory holds no runs; append one first (--label)");
+        std::process::exit(1);
+    };
+    println!(
+        "\nchecking against last committed run \"{}\" (band {BAND:.2}x):",
+        last.label
+    );
+    let verdicts = trajectory::check(now, last);
+    for v in &verdicts {
+        println!(
+            "  {:32} {:>8.4} -> {:>8.4}  ({:>5.2}x)  {}",
+            v.name,
+            v.base,
+            v.now,
+            v.now / v.base,
+            if v.ok { "ok" } else { "OUT OF BAND" }
+        );
     }
+    if verdicts.iter().any(|v| !v.ok) {
+        eprintln!(
+            "regression gate FAILED: a gated ratio left its band; if the change is \
+             intentional, append a new trajectory run (throughput --budget {} --label <why>) \
+             and commit it",
+            trajectory::SMOKE_BUDGET
+        );
+        std::process::exit(1);
+    }
+    println!("regression gate: ok");
 }
 
 fn main() {
@@ -318,7 +319,6 @@ fn main() {
     let params = RunParams::smoke();
     let n_profiles = profiles::all().len() as u64;
     let per_profile = (opts.budget / n_profiles).max(1);
-
     println!(
         "throughput: {} accesses/scheme/layer over {} profiles ({} each), config=small",
         per_profile * n_profiles,
@@ -327,77 +327,35 @@ fn main() {
     );
 
     let streams = generate_streams(&cfg, &params, per_profile);
-
-    let mut scheme_only: Vec<(&'static str, f64)> = Vec::new();
-    let mut full_system: Vec<(&'static str, f64)> = Vec::new();
+    let kinds = lineup();
+    let scheme_only: Vec<f64> = kinds
+        .iter()
+        .map(|&kind| scheme_only_rate(kind, &streams, opts.repeats))
+        .collect();
+    let rates = full_system_rates(&cfg, &params, per_profile, opts.repeats);
+    let (full_system, traced) = rates.split_at(kinds.len());
+    let rate_of = |label: &str| {
+        let i = kinds.iter().position(|k| k.label() == label);
+        full_system[i.expect("scheme in lineup")]
+    };
     println!(
         "\n{:8} {:>18} {:>18}",
         "scheme", "scheme-only acc/s", "full-system acc/s"
     );
-    for kind in lineup() {
-        let so = scheme_only_rate(kind, &streams, opts.repeats);
-        let fs = full_system_rate(kind, &cfg, &params, per_profile, opts.repeats, Tier::Off);
-        println!("{:8} {:>18.0} {:>18.0}", kind.label(), so, fs);
-        scheme_only.push((kind.label(), so));
-        full_system.push((kind.label(), fs));
+    for ((kind, so), fs) in kinds.iter().zip(&scheme_only).zip(full_system) {
+        println!("{:8} {so:>18.0} {fs:>18.0}", kind.label());
+    }
+    let off = rate_of("silcfm");
+    println!("\nsilcfm full-system acc/s by tracer tier (untraced {off:.0}):");
+    for (tier, rate) in TRACED.iter().zip(traced) {
+        let slower = (1.0 - rate / off) * 100.0;
+        println!(
+            "  {:28} {rate:>10.0}  ({slower:.1}% slower)",
+            format!("{tier:?}")
+        );
     }
 
-    let overhead = if opts.overhead {
-        let kind = SchemeKind::silcfm();
-        // Round-robin the regimes (off, ring-on, each sampling period) inside
-        // every repeat instead of measuring each regime `repeats` times in a
-        // row: on a noisy shared host the noise window drifts over seconds,
-        // and back-to-back regimes see the same window while block-sequential
-        // ones can see entirely different machines. Best-of per regime across
-        // rounds keeps the ratios honest.
-        let mut off = 0.0f64;
-        let mut on = 0.0f64;
-        let mut metrics = 0.0f64;
-        let mut sampled: Vec<(u64, f64)> = SAMPLING_PERIODS
-            .iter()
-            .map(|&period| (period, 0.0))
-            .collect();
-        for _ in 0..opts.repeats.max(1) {
-            let rate = |tier| full_system_rate(kind, &cfg, &params, per_profile, 1, tier);
-            off = off.max(rate(Tier::Off));
-            on = on.max(rate(Tier::Ring));
-            metrics = metrics.max(rate(Tier::MetricsOnly));
-            for entry in &mut sampled {
-                entry.1 = entry.1.max(rate(Tier::SampledLean { period: entry.0 }));
-            }
-        }
-        println!(
-            "\nsilcfm full-system tracing overhead: {:.0} acc/s off, {:.0} acc/s on \
-             ({:.1}% slower)",
-            off,
-            on,
-            (1.0 - on / off) * 100.0
-        );
-        println!(
-            "silcfm full-system latency sketches only: {:.0} acc/s \
-             ({:.1}% slower than untraced)",
-            metrics,
-            (1.0 - metrics / off) * 100.0
-        );
-        for &(period, rate) in &sampled {
-            println!(
-                "silcfm full-system sampling tracer 1-in-{period}: {:.0} acc/s \
-                 ({:.1}% slower than untraced)",
-                rate,
-                (1.0 - rate / off) * 100.0
-            );
-        }
-        Some(Overhead {
-            off,
-            on,
-            metrics,
-            sampled,
-        })
-    } else {
-        None
-    };
-
-    let grid = if opts.grid {
+    let grid = opts.grid.then(|| {
         let (jobs, threads, serial_ms, parallel_ms) = grid_times();
         println!(
             "\ngrid of {jobs} runs: serial {serial_ms:.0} ms, \
@@ -409,185 +367,145 @@ fn main() {
                  serial vs \"parallel\" measures pool overhead, not speedup — recording null"
             );
         }
-        Some((jobs, threads, serial_ms, parallel_ms))
-    } else {
-        None
-    };
+        (jobs, threads, serial_ms, parallel_ms)
+    });
 
-    let baseline = opts.baseline.as_deref().map(load_baseline);
-    if let Some(b) = &baseline {
-        let find = |pairs: &[(&'static str, f64)]| {
-            pairs
-                .iter()
-                .find(|(name, _)| *name == "silcfm")
-                .map(|&(_, r)| r)
-        };
-        if let (Some(pre), Some(post)) = (b.silcfm_scheme_only, find(&scheme_only)) {
-            println!(
-                "\nscheme-only silcfm vs baseline: {:.0} -> {:.0} acc/s ({:.3}x)",
-                pre,
-                post,
-                post / pre
-            );
+    let label = opts.label.as_deref().unwrap_or("unlabeled");
+    let row = Row::measured(
+        label,
+        opts.budget,
+        rate_of("base"),
+        rate_of("rand"),
+        off,
+        traced[0],
+    );
+    println!("\n{:32} {:>14}", "trajectory metric", "value");
+    for (name, v) in trajectory::METRICS.iter().zip(&row.values) {
+        println!("{name:32} {v:>14.4}");
+    }
+    if opts.check || opts.label.is_some() {
+        let path = Path::new(&opts.out).with_file_name("BENCH_trajectory.json");
+        let mut rows = trajectory::load(&path).unwrap_or_else(|e| {
+            eprintln!("cannot read trajectory {}: {e}", path.display());
+            std::process::exit(1);
+        });
+        if opts.check {
+            check(&rows, &row);
         }
-        if let (Some(pre), Some(post)) = (b.silcfm_full_system, find(&full_system)) {
+        if opts.label.is_some() {
+            rows.push(row);
+            write_artifact(&path.to_string_lossy(), &trajectory::render(&rows));
             println!(
-                "full-system silcfm vs baseline: {:.0} -> {:.0} acc/s ({:.3}x)",
-                pre,
-                post,
-                post / pre
+                "\nappended run \"{label}\" ({} total) to {}",
+                rows.len(),
+                path.display()
             );
         }
     }
 
     if opts.write {
+        let labels = kinds.iter().map(|k| k.label());
         let json = render_json(
             opts.budget,
             per_profile * n_profiles,
-            &scheme_only,
-            &full_system,
+            &labels.clone().zip(scheme_only).collect::<Vec<_>>(),
+            &labels.zip(full_system.iter().copied()).collect::<Vec<_>>(),
             grid,
-            overhead.as_ref(),
-            baseline.as_ref(),
+            traced,
         );
-        if let Some(dir) = std::path::Path::new(&opts.out).parent() {
-            std::fs::create_dir_all(dir).expect("create results dir");
-        }
-        std::fs::write(&opts.out, json).expect("write results JSON");
+        write_artifact(&opts.out, &json);
         println!("\nwrote {}", opts.out);
     }
 }
 
 /// Hand-rolled JSON (the workspace is dependency-free by policy).
+/// `traced` is SILC-FM's full-system rate on each tier of [`TRACED`].
 fn render_json(
     budget: u64,
     accesses: u64,
     scheme_only: &[(&'static str, f64)],
     full_system: &[(&'static str, f64)],
     grid: Option<(usize, usize, f64, f64)>,
-    overhead: Option<&Overhead>,
-    baseline: Option<&Baseline>,
+    traced: &[f64],
 ) -> String {
-    fn rates(pairs: &[(&'static str, f64)]) -> String {
-        let body: Vec<String> = pairs
+    let rates = |pairs: &[(&str, f64)]| {
+        let lines: Vec<String> = pairs
             .iter()
             .map(|(name, rate)| format!("    \"{name}\": {rate:.0}"))
             .collect();
-        body.join(",\n")
-    }
-    fn reindent(body: &str, indent: &str) -> String {
-        body.lines()
-            .map(|l| format!("{indent}{}", l.trim()))
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"meta\": {\n");
-    out.push_str(&format!("    \"budget_per_scheme_per_layer\": {budget},\n"));
-    out.push_str(&format!(
-        "    \"accesses_measured_per_scheme\": {accesses},\n"
-    ));
-    out.push_str("    \"config\": \"small\",\n");
-    out.push_str("    \"unit\": \"simulated accesses per second\"\n");
-    out.push_str("  },\n");
-    out.push_str("  \"scheme_only\": {\n");
-    out.push_str(&rates(scheme_only));
-    out.push_str("\n  },\n");
-    out.push_str("  \"full_system\": {\n");
-    out.push_str(&rates(full_system));
-    out.push_str("\n  }");
-    if let Some((jobs, threads, serial_ms, parallel_ms)) = grid {
-        out.push_str(",\n  \"grid\": {\n");
-        out.push_str(&format!("    \"jobs\": {jobs},\n"));
-        out.push_str(&format!("    \"threads\": {threads},\n"));
-        out.push_str(&format!("    \"serial_ms\": {serial_ms:.1},\n"));
-        out.push_str(&format!("    \"parallel_ms\": {parallel_ms:.1},\n"));
+        lines.join(",\n")
+    };
+    let grid = grid.map_or(String::new(), |(jobs, threads, serial_ms, parallel_ms)| {
         // A 1-thread "parallel" run measures pool overhead, not speedup;
         // recording 1.00x would misrepresent an unmeasurable quantity.
-        if threads == 1 {
-            out.push_str("    \"speedup\": null,\n");
-            out.push_str("    \"warning\": \"measured with 1 thread; speedup is not defined\"\n");
+        let speedup = if threads == 1 {
+            r#"null,
+    "warning": "measured with 1 thread; speedup is not defined""#
+                .to_string()
         } else {
-            out.push_str(&format!(
-                "    \"speedup\": {:.2}\n",
-                serial_ms / parallel_ms
-            ));
-        }
-        out.push_str("  }");
-    }
-    if let Some(ov) = overhead {
-        let (off, on) = (ov.off, ov.on);
-        out.push_str(",\n  \"tracing_overhead\": {\n");
-        out.push_str("    \"scheme\": \"silcfm\",\n");
-        out.push_str("    \"layer\": \"full_system\",\n");
-        out.push_str(&format!("    \"tracer_off_acc_s\": {off:.0},\n"));
-        out.push_str(&format!("    \"tracer_on_acc_s\": {on:.0},\n"));
-        out.push_str(&format!(
-            "    \"on_over_off_ratio\": {:.3},\n",
-            if off > 0.0 { on / off } else { 0.0 }
-        ));
-        out.push_str(&format!(
-            "    \"overhead_pct\": {:.1},\n",
-            if off > 0.0 {
-                (1.0 - on / off) * 100.0
-            } else {
-                0.0
-            }
-        ));
-        out.push_str(&format!("    \"metrics_only_acc_s\": {:.0},\n", ov.metrics));
-        out.push_str(&format!(
-            "    \"metrics_only_overhead_pct\": {:.1},\n",
-            if off > 0.0 {
-                (1.0 - ov.metrics / off) * 100.0
-            } else {
-                0.0
-            }
-        ));
-        out.push_str("    \"sampling_tracer\": {\n");
-        let mut lines: Vec<String> = Vec::new();
-        for &(period, rate) in &ov.sampled {
-            lines.push(format!("      \"period_{period}_acc_s\": {rate:.0}"));
-            lines.push(format!(
-                "      \"period_{period}_overhead_pct\": {:.1}",
-                if off > 0.0 {
-                    (1.0 - rate / off) * 100.0
-                } else {
-                    0.0
-                }
-            ));
-        }
-        out.push_str(&lines.join(",\n"));
-        out.push_str("\n    }\n");
-        out.push_str("  }");
-    }
-    if let Some(b) = baseline {
-        out.push_str(",\n  \"pre_change\": {\n");
-        out.push_str("    \"scheme_only\": {\n");
-        out.push_str(&reindent(&b.scheme_only, "      "));
-        out.push_str("\n    },\n");
-        out.push_str("    \"full_system\": {\n");
-        out.push_str(&reindent(&b.full_system, "      "));
-        out.push_str("\n    }\n  }");
-        let find = |pairs: &[(&'static str, f64)]| {
-            pairs
-                .iter()
-                .find(|(name, _)| *name == "silcfm")
-                .map(|&(_, r)| r)
+            format!("{:.2}", serial_ms / parallel_ms)
         };
-        if let (Some(pre), Some(post)) = (b.silcfm_scheme_only, find(scheme_only)) {
-            out.push_str(&format!(
-                ",\n  \"speedup_scheme_only_silcfm\": {:.3}",
-                post / pre
-            ));
-        }
-        if let (Some(pre), Some(post)) = (b.silcfm_full_system, find(full_system)) {
-            out.push_str(&format!(
-                ",\n  \"speedup_full_system_silcfm\": {:.3}",
-                post / pre
+        format!(
+            r#",
+  "grid": {{
+    "jobs": {jobs},
+    "threads": {threads},
+    "serial_ms": {serial_ms:.1},
+    "parallel_ms": {parallel_ms:.1},
+    "speedup": {speedup}
+  }}"#
+        )
+    });
+    let off = full_system
+        .iter()
+        .find(|(name, _)| *name == "silcfm")
+        .map_or(0.0, |&(_, rate)| rate);
+    let pct = |rate: f64| (1.0 - rate / off) * 100.0;
+    let (on, metrics) = (traced[0], traced[1]);
+    let mut sampling = Vec::new();
+    for (tier, &rate) in TRACED.iter().zip(traced).skip(2) {
+        if let Tier::Sampled { period } = tier {
+            sampling.push(format!("      \"period_{period}_acc_s\": {rate:.0}"));
+            let slower = pct(rate);
+            sampling.push(format!(
+                "      \"period_{period}_overhead_pct\": {slower:.1}"
             ));
         }
     }
-    out.push_str("\n}\n");
-    out
+    format!(
+        r#"{{
+  "meta": {{
+    "budget_per_scheme_per_layer": {budget},
+    "accesses_measured_per_scheme": {accesses},
+    "config": "small",
+    "unit": "simulated accesses per second"
+  }},
+  "scheme_only": {{
+{}
+  }},
+  "full_system": {{
+{}
+  }}{grid},
+  "tracing_overhead": {{
+    "scheme": "silcfm",
+    "layer": "full_system",
+    "tracer_off_acc_s": {off:.0},
+    "tracer_on_acc_s": {on:.0},
+    "on_over_off_ratio": {:.3},
+    "overhead_pct": {:.1},
+    "metrics_only_acc_s": {metrics:.0},
+    "metrics_only_overhead_pct": {:.1},
+    "sampling_tracer": {{
+{}
+    }}
+  }}
+}}
+"#,
+        rates(scheme_only),
+        rates(full_system),
+        on / off,
+        pct(on),
+        pct(metrics),
+        sampling.join(",\n"),
+    )
 }

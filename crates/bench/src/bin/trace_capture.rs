@@ -1,8 +1,9 @@
 //! Captures a fully traced run and exports the observability artifacts.
 //!
 //! Runs one (workload, scheme) pair through [`silcfm_sim::run_spec`] on the
-//! ring tier — the full system with ring tracers on the controller and both
-//! DRAM devices plus the epoch time-series sampler — then writes:
+//! sampling tier — by default at period 1, so the tracers on the controller
+//! and both DRAM devices keep every event — plus the epoch time-series
+//! sampler, then writes:
 //!
 //! * `--trace PATH` — Chrome trace-event JSON, loadable in
 //!   `chrome://tracing` or <https://ui.perfetto.dev> (timestamps are raw
@@ -22,14 +23,14 @@
 //!   --smoke           small config + smoke-size run (CI-friendly)
 //!   --epoch N         CPU cycles per sample (default 100000)
 //!   --capacity N      ring capacity per tracer (default 1 Mi events)
-//!   --sampling N      use the sampling tracer tier instead of the full
-//!                     ring: exact per-kind counters on every event, ring
-//!                     entries kept 1-in-N (N a power of two). Prints the
-//!                     counter table; the exporters consume the sampled
-//!                     ring unchanged.
+//!   --sampling N      keep full events 1-in-N (N a power of two; default
+//!                     1, every event). The per-kind counters printed
+//!                     first are exact at any N; the exporters consume the
+//!                     sampled ring unchanged.
 
+use silcfm_bench::{lineup, write_artifact};
 use silcfm_obs::export;
-use silcfm_sim::{run_spec, RunParams, RunSpec, SchemeKind, Tier, TraceParams};
+use silcfm_sim::{run_spec, RunParams, RunSpec, Tier, TraceParams};
 use silcfm_trace::profiles;
 use silcfm_types::obs::EVENT_KIND_LABELS;
 use silcfm_types::SystemConfig;
@@ -43,7 +44,7 @@ struct Options {
     smoke: bool,
     epoch: u64,
     capacity: usize,
-    sampling: Option<u64>,
+    sampling: u64,
 }
 
 fn usage() -> ! {
@@ -66,7 +67,7 @@ fn parse_args() -> Options {
         smoke: false,
         epoch: defaults.epoch_cycles,
         capacity: defaults.events_capacity,
-        sampling: None,
+        sampling: 1,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -94,7 +95,7 @@ fn parse_args() -> Options {
                     period.is_power_of_two(),
                     "--sampling must be a power of two"
                 );
-                opts.sampling = Some(period);
+                opts.sampling = period;
             }
             other => {
                 eprintln!("unknown argument '{other}'");
@@ -105,22 +106,6 @@ fn parse_args() -> Options {
     opts
 }
 
-/// Maps a scheme label (as printed in every results table) back to its kind.
-fn scheme_by_label(label: &str) -> Option<SchemeKind> {
-    let mut lineup = vec![SchemeKind::NoNm, SchemeKind::Rand];
-    lineup.extend(SchemeKind::fig7_lineup());
-    lineup.into_iter().find(|k| k.label() == label)
-}
-
-fn write_file(path: &str, contents: &str) {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output dir");
-        }
-    }
-    std::fs::write(path, contents).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-}
-
 fn main() {
     let opts = parse_args();
     let profile = profiles::by_name(&opts.workload).unwrap_or_else(|| {
@@ -129,11 +114,14 @@ fn main() {
         eprintln!("known workloads: {}", names.join(" "));
         std::process::exit(2);
     });
-    let scheme = scheme_by_label(&opts.scheme).unwrap_or_else(|| {
-        eprintln!("unknown scheme '{}'", opts.scheme);
-        eprintln!("known schemes: base rand hma cam camp pom silcfm");
-        std::process::exit(2);
-    });
+    let scheme = lineup()
+        .into_iter()
+        .find(|k| k.label() == opts.scheme)
+        .unwrap_or_else(|| {
+            eprintln!("unknown scheme '{}'", opts.scheme);
+            eprintln!("known schemes: base rand hma cam camp pom silcfm");
+            std::process::exit(2);
+        });
 
     let (cfg, params) = if opts.smoke {
         (SystemConfig::small(), RunParams::smoke())
@@ -146,34 +134,29 @@ fn main() {
     };
 
     println!(
-        "trace_capture: workload={} scheme={} accesses/core={} epoch={} capacity={}{}",
+        "trace_capture: workload={} scheme={} accesses/core={} epoch={} capacity={} \
+         sampling=1-in-{}",
         profile.name,
         opts.scheme,
         params.accesses_per_core,
         trace.epoch_cycles,
         trace.events_capacity,
-        match opts.sampling {
-            Some(period) => format!(" sampling=1-in-{period}"),
-            None => String::new(),
-        }
+        opts.sampling
     );
     let spec = RunSpec {
-        tier: match opts.sampling {
-            Some(period) => Tier::Sampled { period },
-            None => Tier::Ring,
+        tier: Tier::Sampled {
+            period: opts.sampling,
         },
         trace,
         ..RunSpec::default()
     };
     let out =
         run_spec(profile, scheme, &cfg, &params, &spec).expect("a fault-free run cannot fail");
-    if opts.sampling.is_some() {
-        let total: u64 = out.counters.iter().sum();
-        println!("controller event counters ({total} events, exact):");
-        for (label, count) in EVENT_KIND_LABELS.iter().zip(out.counters.iter()) {
-            if *count > 0 {
-                println!("  {label:<18} {count}");
-            }
+    let total: u64 = out.counters.iter().sum();
+    println!("controller event counters ({total} events, exact):");
+    for (label, count) in EVENT_KIND_LABELS.iter().zip(out.counters.iter()) {
+        if *count > 0 {
+            println!("  {label:<18} {count}");
         }
     }
     let (result, report) = (out.result, out.obs.expect("traced tiers always report"));
@@ -186,11 +169,11 @@ fn main() {
     );
 
     if let Some(path) = &opts.trace {
-        write_file(path, &export::chrome_trace(&report));
+        write_artifact(path, &export::chrome_trace(&report));
         println!("wrote {path}");
     }
     if let Some(path) = &opts.metrics_out {
-        write_file(path, &export::csv_series(&report));
+        write_artifact(path, &export::csv_series(&report));
         println!("wrote {path}");
     }
     if opts.summary {

@@ -10,6 +10,7 @@
 //! recorded paper-vs-measured results.
 
 pub mod timing;
+pub mod trajectory;
 
 use silcfm_sim::runner::{default_threads, run_grid, ExperimentGrid, Job};
 use silcfm_sim::{RunParams, RunResult, RunSpec, SchemeKind};
@@ -47,6 +48,27 @@ impl HarnessOpts {
             "quick"
         }
     }
+}
+
+/// The full scheme lineup: the no-NM baseline plus the Fig. 7 schemes.
+pub fn lineup() -> Vec<SchemeKind> {
+    let mut kinds = vec![SchemeKind::NoNm];
+    kinds.extend(SchemeKind::fig7_lineup());
+    kinds
+}
+
+/// Writes an output file, creating its directory first.
+///
+/// # Panics
+///
+/// Panics with the path when the file cannot be written.
+pub fn write_artifact(path: &str, contents: &str) {
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        if !dir.as_os_str().is_empty() {
+            std::fs::create_dir_all(dir).expect("create output dir");
+        }
+    }
+    std::fs::write(path, contents).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
 }
 
 /// The system configuration all experiments run with (Table II with the
@@ -119,9 +141,46 @@ pub fn workload_labels() -> Vec<String> {
         .collect()
 }
 
+/// The best prior scheme of a Fig. 7 lineup: the one with the highest
+/// gmean speedup among the migrating prior schemes, so leaving out SILC-FM
+/// itself, static random placement and the no-NM baseline. Returns its
+/// index into `kinds` and the name the paper gives it; ties go to the
+/// earlier scheme.
+pub fn best_prior(kinds: &[SchemeKind], gmeans: &[f64]) -> Option<(usize, &'static str)> {
+    let mut best: Option<(usize, f64, &'static str)> = None;
+    for (i, (kind, &g)) in kinds.iter().zip(gmeans).enumerate() {
+        let name = match kind {
+            SchemeKind::Hma => "HMA",
+            SchemeKind::Cameo => "CAMEO",
+            SchemeKind::CameoPrefetch => "CAMEO with prefetching",
+            SchemeKind::Pom => "PoM",
+            SchemeKind::NoNm | SchemeKind::Rand | SchemeKind::SilcFm(_) => continue,
+        };
+        if best.is_none_or(|(_, b, _)| g > b) {
+            best = Some((i, g, name));
+        }
+    }
+    best.map(|(i, _, name)| (i, name))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn best_prior_names_the_leading_prior_scheme_either_way() {
+        let kinds = SchemeKind::fig7_lineup();
+        // rand, hma, cam, camp, pom, silcfm: quick mode, CAMEO ahead.
+        let quick = [1.193, 1.245, 1.324, 1.158, 1.150, 1.481];
+        assert_eq!(best_prior(&kinds, &quick), Some((2, "CAMEO")));
+        // Full size: HMA overtakes CAMEO. SILC-FM and rand never count.
+        let full = [1.9, 1.424, 1.334, 1.2, 1.1, 1.574];
+        assert_eq!(best_prior(&kinds, &full), Some((1, "HMA")));
+        assert_eq!(
+            best_prior(&[SchemeKind::Rand, SchemeKind::silcfm()], &[2.0, 1.0]),
+            None
+        );
+    }
 
     #[test]
     fn labels_cover_all_workloads() {

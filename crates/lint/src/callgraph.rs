@@ -144,6 +144,43 @@ enum Recv {
     Unknown,
 }
 
+/// A `for` loop's binding pattern.
+enum Pat<'t> {
+    /// A variable name.
+    Bind(&'t str),
+    /// `_`.
+    Skip,
+    /// `(p, q, …)`.
+    Tuple(Vec<Pat<'t>>),
+}
+
+/// What a loop yields, as far as loop-variable typing can tell.
+enum Item {
+    /// An element of the iterated container.
+    Elem,
+    /// Anything else (an index, the other side of a `zip`).
+    Opaque,
+    /// A pair from `enumerate` or `zip`.
+    Pair(Box<Item>, Box<Item>),
+}
+
+impl Pat<'_> {
+    /// Adds `(name, elem)` for every name this pattern binds to a
+    /// container element of `item`.
+    fn bind(&self, item: &Item, elem: &str, out: &mut Vec<(String, String)>) {
+        match (self, item) {
+            (Pat::Bind(name), Item::Elem) => out.push((name.to_string(), elem.to_string())),
+            (Pat::Tuple(parts), Item::Pair(a, b)) => {
+                if let [p, q] = parts.as_slice() {
+                    p.bind(a, elem, out);
+                    q.bind(b, elem, out);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
 struct BodyResolver<'a> {
     ws: &'a Workspace,
     f: FnId,
@@ -257,46 +294,24 @@ impl<'a> BodyResolver<'a> {
     }
 
     /// Types loop variables from the element type of the iterated
-    /// container: `for x in [&[mut]] coll[.iter()|.iter_mut()|.into_iter()]`
-    /// binds `x` to `elem(coll)`, and `for (i, x) in coll.iter().enumerate()`
-    /// binds `x` likewise. Any other adapter in the chain (`map`, `windows`,
-    /// …) changes the item type, so the binding is dropped.
+    /// container. The source is `[&[mut]] coll` followed by a chain of
+    /// `iter()`/`iter_mut()`/`into_iter()` (item unchanged), `enumerate()`
+    /// (item becomes `(index, item)`) and `zip(…)` (item becomes
+    /// `(item, other)`); the pattern may be a name or a tuple nested to any
+    /// depth. So `for x in coll.iter()`, `for (i, x) in coll.iter()
+    /// .enumerate()` and `for ((i, x), at) in coll.iter_mut().enumerate()
+    /// .zip(…)` all bind `x` to `elem(coll)`. Any other adapter (`map`,
+    /// `windows`, …) changes the item type, so the loop binds nothing.
     fn scan_fors(&mut self) {
         let mut bindings: Vec<(String, String)> = Vec::new();
         for i in self.body.clone() {
             if !matches!(self.ident_at(i), Some("for")) {
                 continue;
             }
-            // Pattern: `name` or `(a, b)`; give up on anything deeper.
-            let tuple = self.is_punct(i + 1, '(');
-            let mut vars: Vec<&str> = Vec::new();
-            let mut j = i + 1;
-            let mut ok = true;
-            while j < self.body.end && !matches!(self.ident_at(j), Some("in")) {
-                if j > i + 8 {
-                    ok = false; // not a simple pattern
-                    break;
-                }
-                match self.tok(j) {
-                    Some(t) if t.kind == TokenKind::Ident => match t.text.as_str() {
-                        "mut" | "ref" | "_" => {}
-                        name if !is_keyword(name) => vars.push(name),
-                        _ => {
-                            ok = false;
-                            break;
-                        }
-                    },
-                    Some(t)
-                        if t.kind == TokenKind::Punct
-                            && matches!(t.text.as_str(), "(" | ")" | "," | "&") => {}
-                    _ => {
-                        ok = false;
-                        break;
-                    }
-                }
-                j += 1;
-            }
-            if !ok || j >= self.body.end {
+            let Some((pat, j)) = self.pat_at(i + 1) else {
+                continue;
+            };
+            if !matches!(self.ident_at(j), Some("in")) {
                 continue;
             }
             // Source: `[&[mut]] coll` then an optional adapter chain.
@@ -310,45 +325,87 @@ impl<'a> BodyResolver<'a> {
             let Some(elem) = self.elems.get(coll).cloned() else {
                 continue;
             };
-            k += 1;
-            let mut enumerated = false;
-            let mut chain_ok = true;
-            while self.is_punct(k, '.') {
-                let Some(m) = self.ident_at(k + 1) else {
-                    chain_ok = false;
-                    break;
-                };
-                if !self.is_punct(k + 2, '(') {
-                    chain_ok = false;
-                    break;
-                }
-                match m {
-                    "iter" | "iter_mut" | "into_iter" => {}
-                    "enumerate" => enumerated = true,
-                    _ => {
-                        chain_ok = false;
-                        break;
-                    }
-                }
-                // The adapters above all take no arguments: `( )`.
-                if !self.is_punct(k + 3, ')') {
-                    chain_ok = false;
-                    break;
-                }
-                k += 4;
-            }
-            if !chain_ok {
-                continue;
-            }
-            match (tuple, vars.as_slice(), enumerated) {
-                (false, [x], false) => bindings.push((x.to_string(), elem)),
-                (true, [_, x], true) => bindings.push((x.to_string(), elem)),
-                _ => {}
+            if let Some(item) = self.chain_item(k + 1) {
+                pat.bind(&item, &elem, &mut bindings);
             }
         }
         for (name, ty) in bindings {
             self.locals.entry(name).or_insert(ty);
         }
+    }
+
+    /// Parses a loop pattern at `i`: `[&][mut|ref] name`, `_`, or a
+    /// parenthesized tuple of patterns. Returns it and the index after it.
+    fn pat_at(&self, mut i: usize) -> Option<(Pat<'a>, usize)> {
+        while self.is_punct(i, '&') || matches!(self.ident_at(i), Some("mut" | "ref")) {
+            i += 1;
+        }
+        if self.is_punct(i, '(') {
+            let mut parts = Vec::new();
+            i += 1;
+            while !self.is_punct(i, ')') {
+                let (part, next) = self.pat_at(i)?;
+                parts.push(part);
+                i = next;
+                if self.is_punct(i, ',') {
+                    i += 1;
+                } else if !self.is_punct(i, ')') {
+                    return None;
+                }
+            }
+            return Some((Pat::Tuple(parts), i + 1));
+        }
+        match self.ident_at(i)? {
+            "_" => Some((Pat::Skip, i + 1)),
+            name if !is_keyword(name) => Some((Pat::Bind(name), i + 1)),
+            _ => None,
+        }
+    }
+
+    /// The item shape of the adapter chain starting at `k` over a
+    /// container's elements; `None` when an adapter changes the item type.
+    fn chain_item(&self, mut k: usize) -> Option<Item> {
+        let mut item = Item::Elem;
+        while self.is_punct(k, '.') {
+            let m = self.ident_at(k + 1)?;
+            if !self.is_punct(k + 2, '(') {
+                return None;
+            }
+            let close = match m {
+                // These adapters take no arguments: `( )`.
+                "iter" | "iter_mut" | "into_iter" | "enumerate" => {
+                    if !self.is_punct(k + 3, ')') {
+                        return None;
+                    }
+                    k + 3
+                }
+                "zip" => self.matching_paren(k + 2)?,
+                _ => return None,
+            };
+            item = match m {
+                "enumerate" => Item::Pair(Box::new(Item::Opaque), Box::new(item)),
+                "zip" => Item::Pair(Box::new(item), Box::new(Item::Opaque)),
+                _ => item,
+            };
+            k = close + 1;
+        }
+        Some(item)
+    }
+
+    /// The index of the `)` closing the `(` at `open`, within the body.
+    fn matching_paren(&self, open: usize) -> Option<usize> {
+        let mut depth = 0usize;
+        for i in open..self.body.end {
+            if self.is_punct(i, '(') {
+                depth += 1;
+            } else if self.is_punct(i, ')') {
+                depth -= 1;
+                if depth == 0 {
+                    return Some(i);
+                }
+            }
+        }
+        None
     }
 
     /// What `self` means in the enclosing fn: the impl's self type, or —

@@ -90,6 +90,20 @@ fn a1_spares_a_setup_only_constructor() {
 }
 
 #[test]
+fn a1_follows_loop_variables_bound_by_nested_tuple_patterns() {
+    let (findings, suppressed) = lint_rust_source(HOT, include_str!("fixtures/a1_nested_for.rs"));
+    // `for ((i, lane), at) in lanes.iter().enumerate().zip(…)` types
+    // `lane` as `Lane`, so `Lane::take`'s `vec![` is reachable.
+    assert_eq!(spots(&findings, "A1"), vec![8], "{findings:#?}");
+    assert_eq!(findings.len(), 1, "only A1 fires: {findings:#?}");
+    assert_eq!(suppressed, 0);
+    let chain = &findings[0].chain;
+    assert_eq!(chain.len(), 2, "{chain:?}");
+    assert!(chain[0].contains("Ctl::access"), "{chain:?}");
+    assert!(chain[1].contains("Lane::take"), "{chain:?}");
+}
+
+#[test]
 fn p1_and_a1_cover_the_soa_frame_table() {
     let (findings, suppressed) = lint_rust_source(
         "crates/core/src/frametable.rs",

@@ -10,9 +10,10 @@
 //! * [`RingTracer`] — a fixed-capacity ring buffer implementing
 //!   [`Tracer`]; when full it overwrites the oldest events (and counts the
 //!   drops) so long runs keep the most recent window;
-//! * [`SamplingTracer`] — the cheap always-on tier: exact per-kind event
-//!   counters on every record, full events retained only 1-in-N
-//!   (power-of-two N), built for sub-5% overhead;
+//! * [`SamplingTracer`] — the tracer the simulator runs with: exact
+//!   per-kind event counters on every record, full events retained in an
+//!   inner [`RingTracer`] only 1-in-N (power-of-two N; N = 1 is full
+//!   tracing);
 //! * [`LatencyHistogram`] — log-bucketed (power-of-two) latency histograms
 //!   with fixed storage, HdrHistogram style;
 //! * [`EpochSampler`] — a per-epoch time-series sampler over a declared

@@ -42,8 +42,8 @@ impl SamplingTracer {
     /// # Panics
     ///
     /// Panics if `capacity` is zero or `period` is not a power of two
-    /// (`period = 1` is allowed and records every event — the ring tier
-    /// with counters on top).
+    /// (`period = 1` is allowed and records every event: full tracing with
+    /// counters on top).
     pub fn with_capacity(capacity: usize, period: u64) -> Self {
         assert!(
             period.is_power_of_two(),

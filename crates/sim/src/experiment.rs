@@ -7,7 +7,7 @@ use silcfm_baselines::{Cameo, CameoParams, Hma, HmaParams, Pom, PomParams, Rando
 use silcfm_core::{SilcFm, SilcFmParams};
 use silcfm_dram::DramConfig;
 use silcfm_fault::{FaultDriver, FaultRates, FaultSchedule, FaultStats, FaultTopology};
-use silcfm_obs::{MetricsOnlyTracer, ObsReport, RingTracer, SamplingTracer};
+use silcfm_obs::{MetricsOnlyTracer, ObsReport, SamplingTracer};
 use silcfm_trace::{profiles, PlacementPolicy, WorkloadProfile};
 use silcfm_types::obs::{NullTracer, Tracer, EVENT_KINDS};
 use silcfm_types::{AddressSpace, Geometry, MemoryScheme, SilcFmError, SystemConfig};
@@ -366,23 +366,14 @@ pub enum Tier {
     /// event is buffered — the DRAM devices carry [`MetricsOnlyTracer`]s
     /// whose `record` inlines to nothing and the controller runs its
     /// untraced build. Its latency plane is byte-identical to
-    /// [`Tier::Ring`]'s; its report's event stream is empty.
+    /// [`Tier::Sampled`]'s; its report's event stream is empty.
     MetricsOnly,
-    /// Full observability: ring tracers of
-    /// [`TraceParams::events_capacity`] on the controller and both DRAM
-    /// devices, plus the metrics plane.
-    Ring,
-    /// The sampling tracer on the controller and both DRAM devices: every
-    /// event is counted ([`RunOutput::counters`]) and full events are
-    /// retained one-in-`period` (a power of two), plus the metrics plane.
+    /// The sampling tracer on the controller and both DRAM devices, plus
+    /// the metrics plane: every event is counted ([`RunOutput::counters`])
+    /// and full events are kept one-in-`period` in rings of
+    /// [`TraceParams::events_capacity`]. `period: 1` keeps every event —
+    /// full tracing.
     Sampled {
-        /// Retention period; must be a power of two.
-        period: u64,
-    },
-    /// [`Tier::Sampled`] without the metrics plane (no epoch sampler, no
-    /// histograms, no report): the always-on configuration whose cost the
-    /// sampling tier's "few percent" budget is measured against.
-    SampledLean {
         /// Retention period; must be a power of two.
         period: u64,
     },
@@ -420,12 +411,12 @@ pub struct RunSpec {
 pub struct RunOutput {
     /// The figure-level metrics, bit-identical across tiers and engines.
     pub result: RunResult,
-    /// The observability report; `Some` exactly for [`Tier::MetricsOnly`],
-    /// [`Tier::Ring`] and [`Tier::Sampled`].
+    /// The observability report; `Some` exactly for [`Tier::MetricsOnly`]
+    /// and [`Tier::Sampled`].
     pub obs: Option<ObsReport>,
     /// The controller's exact per-kind event totals (indexed by
     /// [`Event::kind_index`](silcfm_types::obs::Event::kind_index)); zero
-    /// except on the sampling tiers.
+    /// except on [`Tier::Sampled`].
     pub counters: [u64; EVENT_KINDS],
     /// The fault-effect ledger; all zero when no faults were armed.
     pub faults: FaultStats,
@@ -444,7 +435,7 @@ pub struct RunOutput {
 ///
 /// # Panics
 ///
-/// Panics if a sampling tier's `period` is not a power of two.
+/// Panics if [`Tier::Sampled`]'s `period` is not a power of two.
 pub fn run_spec(
     profile: &WorkloadProfile,
     scheme: SchemeKind,
@@ -477,7 +468,6 @@ pub fn run_spec(
             params.accesses_per_core.saturating_mul(64),
         ))
     };
-    let ring = || RingTracer::with_capacity(capacity);
     let sampling = |period| SamplingTracer::with_capacity(capacity, period);
     Ok(match spec.tier {
         Tier::Off => prologue.drive(scheme.build(space, total), NullTracer, NullTracer, None),
@@ -487,23 +477,11 @@ pub fn run_spec(
             MetricsOnlyTracer,
             obs(),
         ),
-        Tier::Ring => prologue.drive(
-            scheme.build_with(space, total, ring()),
-            ring(),
-            ring(),
-            obs(),
-        ),
         Tier::Sampled { period } => prologue.drive(
             scheme.build_with(space, total, sampling(period)),
             sampling(period),
             sampling(period),
             obs(),
-        ),
-        Tier::SampledLean { period } => prologue.drive(
-            scheme.build_with(space, total, sampling(period)),
-            sampling(period),
-            sampling(period),
-            None,
         ),
     })
 }
@@ -772,19 +750,30 @@ mod tests {
             epoch_cycles: 100_000,
         };
         let plain = run(profile(), SchemeKind::silcfm(), &cfg, &params);
-        let full_report = run_tier(Tier::Ring, trace).obs.unwrap();
+        let full = run_tier(Tier::Sampled { period: 1 }, trace);
+        let (full_report, full_counters) = (full.obs.unwrap(), full.counters);
         let out = run_tier(Tier::Sampled { period: 64 }, trace);
         let (sampled, report, counters) = (out.result, out.obs.unwrap(), out.counters);
         // Observability must never perturb the simulation.
         assert_eq!(plain.cycles, sampled.cycles);
         assert_eq!(plain.traffic, sampled.traffic);
         assert_eq!(plain.scheme_stats, sampled.scheme_stats);
-        // The counter tier is exact: per-kind totals sum to the fully-traced
-        // run's controller event count even though the ring keeps 1-in-64.
+        // The counter tier is exact: at period 1 nothing was dropped, so the
+        // per-kind tally of the retained controller events is the reference,
+        // and the 1-in-64 run counts the same totals.
         assert_eq!(full_report.dropped, 0);
+        let mut tally = [0u64; EVENT_KINDS];
+        for e in full_report
+            .events
+            .iter()
+            .filter(|e| e.unit == Unit::Controller)
+        {
+            tally[e.event.kind_index()] += 1;
+        }
         let full_controller = full_report.events_from(Unit::Controller) as u64;
         assert!(full_controller > 0);
-        assert_eq!(counters.iter().sum::<u64>(), full_controller);
+        assert_eq!(full_counters, tally);
+        assert_eq!(counters, tally);
         // The sampled stream really is ~64x sparser.
         let sampled_controller = report.events_from(Unit::Controller) as u64;
         assert_eq!(sampled_controller, full_controller.div_ceil(64));
@@ -799,8 +788,8 @@ mod tests {
             epoch_cycles: 100_000,
         };
         let plain = run(profile(), SchemeKind::silcfm(), &cfg, &params);
-        let ring = run_tier(Tier::Ring, trace);
-        let (traced, traced_report) = (ring.result, ring.obs.unwrap());
+        let full = run_tier(Tier::Sampled { period: 1 }, trace);
+        let (traced, traced_report) = (full.result, full.obs.unwrap());
         let out = run_tier(Tier::MetricsOnly, trace);
         let (metrics, metrics_report) = (out.result, out.obs.unwrap());
         // The tier is behavior-neutral against both neighbors.
@@ -808,8 +797,8 @@ mod tests {
         assert_eq!(plain.traffic, metrics.traffic);
         assert_eq!(plain.scheme_stats, metrics.scheme_stats);
         assert_eq!(traced.cycles, metrics.cycles);
-        // The latency-percentile plane is byte-identical to the ring
-        // tier's: retention policy never changes what the sketches fold.
+        // The latency-percentile plane is byte-identical to the fully
+        // traced tier's: retention policy never changes what the sketches fold.
         let mut traced_bytes = String::new();
         traced_report.latency.encode(&mut traced_bytes);
         let mut metrics_bytes = String::new();

@@ -48,7 +48,7 @@ fn main() {
     // below), so timing and the tail columns come from one run.
     let t1 = std::time::Instant::now();
     let spec = RunSpec {
-        tier: Tier::Ring,
+        tier: Tier::Sampled { period: 1 },
         trace: TraceParams {
             events_capacity: 1 << 14,
             ..TraceParams::default_capture()
@@ -77,7 +77,10 @@ fn main() {
     ]);
     let base = &parallel[0].result;
     for out in &parallel[1..] {
-        let (r, report) = (&out.result, out.obs.as_ref().expect("ring tier reports"));
+        let (r, report) = (
+            &out.result,
+            out.obs.as_ref().expect("the traced tier reports"),
+        );
         let overall = report.latency.overall();
         let [p50, p95, p99, _] = overall.percentiles();
         table.row(vec![

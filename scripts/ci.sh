@@ -56,17 +56,6 @@ cargo test -q --workspace --offline
 echo "==> perfbench build + tests (offline)"
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
-# Smoke-run the throughput benchmark: a tiny budget exercises the whole
-# measurement path (stream generation, both layers, every scheme) in a few
-# seconds without writing an artifact or timing the grid. `--overhead`
-# additionally runs SILC-FM with the ring tracers and epoch sampler live
-# and reports tracer-on vs tracer-off acc/s plus the sampling tier at
-# 1-in-16/1-in-256 (the full-budget numbers live in
-# results/BENCH_throughput.json).
-echo "==> throughput benchmark (smoke budget, tracing overhead)"
-cargo run --release --offline -p silcfm-bench --bin throughput -- \
-  --budget 2000 --repeats 1 --no-write --skip-grid --overhead
-
 # Latency-percentile smoke: measure per-class demand-latency sketches
 # for every scheme on a 3-workload subset, and gate serial-vs-sharded
 # byte-identity of the sketch encodings (DESIGN.md §14) — the percentile
@@ -74,20 +63,17 @@ cargo run --release --offline -p silcfm-bench --bin throughput -- \
 echo "==> latency percentiles (smoke, sharded byte-identity gate)"
 cargo run --release --offline -p silcfm-bench --bin latency -- --smoke --no-write
 
-# Perf-regression gate: interleaved best-of regime measurement, gated on
-# host-independent ratio metrics (scheme-vs-baseline speed, traced-vs-
-# untraced overhead) against the last committed trajectory run. A gated
-# ratio leaving its 1.6x band fails CI; intentional changes append a new
-# run to results/BENCH_trajectory.json and commit it.
-echo "==> perf-regression gate (smoke, ratio bands vs committed trajectory)"
-cargo run --release --offline -p silcfm-bench --bin regress -- --smoke --check
-
-# Scaling smoke: run one small simulation serially and sharded at 1, 2
-# and 4 threads and demand bit-identical results — the epoch-barrier
-# merge determinism guarantee (DESIGN.md §11), checked end to end
-# through the real bench binary rather than only in unit tests.
-echo "==> sharded-run determinism (smoke)"
-cargo run --release --offline -p silcfm-bench --bin scaling -- --smoke
+# Throughput benchmark + perf-regression gate: every scheme at the
+# scheme-only and full-system layers, and SILC-FM on every tracer tier,
+# measured in interleaved best-of rounds at the committed trajectory's
+# budget. The gate checks host-independent ratio metrics (scheme-vs-
+# baseline speed, traced-vs-untraced overhead) against the last row of
+# results/BENCH_trajectory.json; a ratio leaving its 1.6x band fails CI,
+# and intentional changes append a new row (--label) and commit it. The
+# full-budget numbers live in results/BENCH_throughput.json.
+echo "==> throughput benchmark + perf-regression gate (ratio bands vs committed trajectory)"
+cargo run --release --offline -p silcfm-bench --bin throughput -- \
+  --budget 16000 --repeats 3 --no-write --skip-grid --check
 
 # Trace smoke: capture one fully traced smoke run, then validate the
 # Chrome trace with the in-tree checker — the JSON must parse, every

@@ -233,8 +233,8 @@ fn outcome_reuse_matches_fresh_outcomes() {
     }
 }
 
-/// Tracing is observation only. Running the whole snapshot grid with the
-/// ring tracers, demand-latency histograms and epoch sampler live must
+/// Tracing is observation only. Running the whole snapshot grid with every
+/// event traced, the demand-latency histograms and epoch sampler live must
 /// reproduce the untraced stats digest bit for bit — the `T::ENABLED` emit
 /// sites never touch simulation state. And the exported artifacts are
 /// themselves deterministic: a serial re-run of a cell produces Chrome
@@ -248,7 +248,7 @@ fn tracing_is_behavior_neutral_and_deterministic() {
     let untraced = digest(&run_grid_serial(&jobs));
 
     let spec = RunSpec {
-        tier: Tier::Ring,
+        tier: Tier::Sampled { period: 1 },
         trace: TraceParams {
             events_capacity: 1 << 14,
             epoch_cycles: 50_000,
@@ -294,7 +294,7 @@ fn latency_sketches_are_byte_identical_serial_vs_sharded() {
     use silc_fm::sim::{Engine, ShardParams, Tier, TraceParams};
 
     let spec = RunSpec {
-        tier: Tier::Ring,
+        tier: Tier::Sampled { period: 1 },
         trace: TraceParams {
             events_capacity: 1 << 14,
             epoch_cycles: 50_000,

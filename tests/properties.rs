@@ -824,7 +824,7 @@ fn sharded_runs_match_serial_bit_for_bit() {
 }
 
 /// Every cell of the run surface simulates the same machine. Over tier
-/// {Off, MetricsOnly, Ring, Sampled(16)} × faults {none, harsh} × engine
+/// {Off, MetricsOnly, Sampled(1), Sampled(16)} × faults {none, harsh} × engine
 /// {serial, sharded}:
 ///
 /// * each cell's result digest equals the reference for its fault setting —
@@ -838,11 +838,12 @@ fn sharded_runs_match_serial_bit_for_bit() {
 #[test]
 fn sharded_traced_and_faulted_runs_match_serial() {
     use silc_fm::fault::{FaultRates, FaultStats};
-    use silc_fm::obs::export;
+    use silc_fm::obs::{export, Unit};
     use silc_fm::sim::{
         run, run_spec, Engine, FaultParams, RunParams, RunSpec, SchemeKind, ShardParams, Tier,
         TraceParams,
     };
+    use silc_fm::types::obs::EVENT_KINDS;
     use silc_fm::types::{FxHasher, SystemConfig};
     use std::hash::Hasher as _;
 
@@ -884,7 +885,7 @@ fn sharded_traced_and_faulted_runs_match_serial() {
             for tier in [
                 Tier::Off,
                 Tier::MetricsOnly,
-                Tier::Ring,
+                Tier::Sampled { period: 1 },
                 Tier::Sampled { period: 16 },
             ] {
                 let label = format!("{tier:?} faulted={}", faults.is_some());
@@ -943,6 +944,15 @@ fn sharded_traced_and_faulted_runs_match_serial() {
                         let mut p_lat = String::new();
                         p.latency.encode(&mut p_lat);
                         assert_eq!(p_lat, s_lat, "{label}: latency plane diverged");
+                        // Full tracing keeps every controller event, so a
+                        // complete stream tallies to the exact counters.
+                        if tier == (Tier::Sampled { period: 1 }) && s.dropped == 0 {
+                            let mut tally = [0u64; EVENT_KINDS];
+                            for e in s.events.iter().filter(|e| e.unit == Unit::Controller) {
+                                tally[e.event.kind_index()] += 1;
+                            }
+                            assert_eq!(tally, serial.counters, "{label}: counters != trace");
+                        }
                         assert_eq!(
                             *latency.get_or_insert_with(|| s_lat.clone()),
                             s_lat,
