@@ -23,8 +23,8 @@
 //!   with a seeded [`LatencyReservoir`] for exact small-N validation;
 //! * [`export`] — Chrome trace-event JSON (`chrome://tracing`-loadable),
 //!   CSV time series, and a human summary table;
-//! * [`TextTable`] — the shared fixed-width table renderer used by every
-//!   binary that prints aligned columns;
+//! * [`TextTable`] — a fixed-width table renderer with per-column
+//!   alignment, for the trace summaries and the `scheme_shootout` example;
 //! * [`json`] — a minimal hand-rolled JSON parser backing the
 //!   `trace_check` validator binary (the workspace is dependency-free).
 //!

@@ -1,9 +1,10 @@
-//! The shared fixed-width text-table renderer.
+//! A fixed-width text-table renderer with per-column alignment.
 //!
-//! Every binary that prints aligned columns (trace summaries, the
-//! `scheme_shootout` example, benchmark reports) goes through this one
-//! renderer so the workspace has a single table idiom instead of N
-//! hand-rolled `println!` format strings.
+//! The trace summaries ([`crate::export`]) and the `scheme_shootout`
+//! example print through it. It is one of two table renderers: the paper's
+//! figures print through `silcfm_bench::report::format_table`, a numeric
+//! grid whose exact layout the committed `results/experiments_quick.txt`
+//! pins.
 
 use core::fmt::Write as _;
 

@@ -27,7 +27,6 @@ pub mod experiment;
 pub mod journal;
 pub mod metrics;
 pub mod observe;
-pub mod report;
 pub mod runner;
 pub mod shard;
 pub mod system;
@@ -38,7 +37,6 @@ pub use experiment::{
 };
 pub use metrics::{RunResult, TrafficTally};
 pub use observe::RunObs;
-pub use report::{format_table, Row};
 pub use runner::{run_grid, run_grid_journaled, run_grid_serial, ExperimentGrid, Job};
 pub use shard::{
     run_system_sharded, run_system_sharded_tapped, LaneSource, RecordStream, ShardParams,

@@ -74,8 +74,7 @@ impl Job {
 /// Builder for the scheme × workload grid all figure harnesses iterate.
 ///
 /// Jobs are emitted workload-major (all schemes of workload 0, then workload
-/// 1, …) matching the serial loops the figure binaries used to write by
-/// hand.
+/// 1, …), the row order of the paper's tables.
 #[derive(Debug, Clone)]
 pub struct ExperimentGrid {
     cfg: SystemConfig,

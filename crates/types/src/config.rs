@@ -213,6 +213,13 @@ mod tests {
     }
 
     #[test]
+    fn experiment_config_is_table2_with_scaled_llc() {
+        let cfg = SystemConfig::experiment();
+        assert_eq!(cfg.core.cores, 16);
+        assert_eq!(cfg.l2.capacity_bytes, 1 << 20);
+    }
+
+    #[test]
     fn cache_sets() {
         let cfg = SystemConfig::paper();
         // 8 MiB / 64 B lines / 16 ways = 8192 sets.

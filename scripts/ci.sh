@@ -56,6 +56,17 @@ cargo test -q --workspace --offline
 echo "==> perfbench build + tests (offline)"
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
+# The paper's tables and figures come from one binary. Table II simulates
+# nothing, so printing it proves the binary renders in milliseconds; an
+# unknown argument must be a usage error (exit 2), never a silent
+# minutes-long quick run.
+echo "==> paper (Table II, usage error on an unknown flag)"
+paper_bin="target/release/paper"
+"$paper_bin" table2_config
+rc=0
+"$paper_bin" --bogus 2> /dev/null || rc=$?
+[ "$rc" -eq 2 ] || { echo "expected usage error (exit 2) from paper --bogus, got $rc"; exit 1; }
+
 # Latency-percentile smoke: measure per-class demand-latency sketches
 # for every scheme on a 3-workload subset, and gate serial-vs-sharded
 # byte-identity of the sketch encodings (DESIGN.md §14) — the percentile
