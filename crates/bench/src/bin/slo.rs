@@ -16,10 +16,6 @@
 //!
 //! * the conservation ledger holds (`offered = completed + shed +
 //!   timed_out + failed`) — a trial that leaks a request aborts the bench;
-//! * before anything is written, a determinism gate re-runs one trial per
-//!   scheme on the sharded engine and asserts the full serving-plane
-//!   digest (ledger, latency sketch, epoch series) is byte-identical to
-//!   the serial run's;
 //! * with `--journal`, every finished trial is flushed to a crash-safe
 //!   journal; `--resume` replays the recorded verdicts through fresh
 //!   regulators and continues the search byte-identically (the
@@ -31,7 +27,6 @@
 //!   --full               full-size runs; default is the quick preset
 //!   --out PATH           output JSON path (default results/BENCH_slo.json)
 //!   --no-write           measure and print, but do not write the JSON
-//!   --skip-check         skip the serial-vs-sharded byte-identity gate
 //!   --journal PATH       journal finished trials to PATH (crash-safe)
 //!   --resume             resume a killed search from --journal PATH
 //!                        (a missing PATH starts a fresh journal)
@@ -73,7 +68,6 @@ struct Options {
     full: bool,
     out: String,
     write: bool,
-    check: bool,
     journal: Option<String>,
     resume: bool,
     die_after_trials: Option<usize>,
@@ -85,7 +79,6 @@ fn parse_args() -> Options {
         full: false,
         out: "results/BENCH_slo.json".to_string(),
         write: true,
-        check: true,
         journal: None,
         resume: false,
         die_after_trials: None,
@@ -101,7 +94,6 @@ fn parse_args() -> Options {
                     .unwrap_or_else(|| usage_exit("--out needs a path"));
             }
             "--no-write" => opts.write = false,
-            "--skip-check" => opts.check = false,
             "--journal" => {
                 opts.journal = Some(
                     args.next()
@@ -140,7 +132,7 @@ fn journal_exit(e: &SilcFmError) -> ! {
 fn usage_exit(msg: &str) -> ! {
     eprintln!("{msg}");
     eprintln!(
-        "usage: slo [--smoke | --full] [--out PATH] [--no-write] [--skip-check] \
+        "usage: slo [--smoke | --full] [--out PATH] [--no-write] \
          [--journal PATH [--resume] [--die-after-trials N]]"
     );
     std::process::exit(2);
@@ -234,7 +226,7 @@ struct Ctx {
 }
 
 /// Runs one serial trial and enforces the conservation ledger.
-fn run_trial(spec: &SearchSpec, rate: u64, ctx: &Ctx, threads: usize) -> ServeReport {
+fn run_trial(spec: &SearchSpec, rate: u64, ctx: &Ctx) -> ServeReport {
     let profile = profiles::by_name(WORKLOAD).expect("known workload");
     let report = run_serve(
         profile,
@@ -245,7 +237,7 @@ fn run_trial(spec: &SearchSpec, rate: u64, ctx: &Ctx, threads: usize) -> ServeRe
         spec.arrival,
         rate,
         None,
-        &ShardParams::with_threads(threads),
+        &ShardParams::with_threads(1),
     )
     .expect("serving trial");
     assert!(
@@ -256,27 +248,6 @@ fn run_trial(spec: &SearchSpec, rate: u64, ctx: &Ctx, threads: usize) -> ServeRe
         report.stats.ledger
     );
     report
-}
-
-/// The serial-vs-sharded byte-identity gate: one trial per scheme, re-run
-/// at each thread count, full serving-plane digest compared.
-fn sharded_gate(kinds: &[SchemeKind], ctx: &Ctx, rate: u64, threads: &[usize]) {
-    let arrival = arrivals::by_name("bursty").expect("known arrival profile");
-    for &scheme in kinds {
-        let spec = SearchSpec { scheme, arrival };
-        let want = run_trial(&spec, rate, ctx, 1).digest();
-        for &n in threads {
-            let got = run_trial(&spec, rate, ctx, n).digest();
-            assert_eq!(
-                got,
-                want,
-                "{} on {}: sharded ({n} threads) serving digest diverged from serial",
-                scheme.label(),
-                arrival.name
-            );
-        }
-    }
-    println!("sharded gate: ok for all schemes (threads {threads:?}, byte-identical)");
 }
 
 /// Per-scheme recovery run: channel fail/repair faults at a moderate rate,
@@ -413,7 +384,7 @@ fn main() {
         &replayed,
         journal.as_mut(),
         |spec, rate| {
-            let report = run_trial(spec, rate, &ctx, 1);
+            let report = run_trial(spec, rate, &ctx);
             let met = report.slo_met(&serve, MIN_GOODPUT);
             (report.stats.ledger, report.stats.p99(), met)
         },
@@ -508,11 +479,6 @@ fn main() {
     }
 
     println!("slo: aggregate={:016x}", aggregate_digest(&summaries));
-
-    if opts.check {
-        let threads: &[usize] = if opts.smoke { &[2] } else { &[2, 4] };
-        sharded_gate(&kinds, &ctx, aimd_params.start_rate, threads);
-    }
 
     if opts.write {
         let mut out = String::new();

@@ -250,7 +250,7 @@ fn full_system_rates(
     best
 }
 
-/// Times the `scheme_shootout` grid serially and through the sharded pool.
+/// Times the `scheme_shootout` grid serially and through the parallel grid pool.
 fn grid_times() -> (usize, usize, f64, f64) {
     let threads = silcfm_sim::runner::default_threads();
     let workload = profiles::by_name("lib").unwrap();

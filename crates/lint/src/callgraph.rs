@@ -914,14 +914,14 @@ mod tests {
         let ws = ws(&[(
             "crates/sim/src/system.rs",
             "trait Feed { fn pull(&mut self) -> u64; }\n\
-             struct GenFeed; impl Feed for GenFeed { fn pull(&mut self) -> u64 { 1 } }\n\
+             struct StreamFeed; impl Feed for StreamFeed { fn pull(&mut self) -> u64 { 1 } }\n\
              struct System;\n\
              impl System { fn run_with_feed<F: Feed>(&mut self, feed: &mut F) { feed.pull(); } }\n",
         )]);
         let g = build(&ws);
         assert_eq!(
             calls(&ws, &g, "System::run_with_feed"),
-            vec!["GenFeed::pull"]
+            vec!["StreamFeed::pull"]
         );
     }
 

@@ -22,6 +22,9 @@
 //!   completed + shed + timed_out + failed`, on every run;
 //! * **regulation** ([`regulator`]) is an AIMD search for the maximum
 //!   sustainable rate under a p99 SLO, trial by trial;
+//! * **the runner** ([`run_serve`]) plays one trial through the engine: at
+//!   `threads <= 1` over [`silcfm_sim::System::run`]'s serial feed, at more
+//!   threads over the sharded runner, with byte-identical reports;
 //! * **journaling** ([`journal`]) records each finished trial in a
 //!   crash-safe [`silcfm_sim::journal::Journal`], and [`run_searches`]
 //!   drives the searches, resuming a killed one by replaying its recorded

@@ -6,8 +6,9 @@
 //! record stream is planned before the engine starts, the tracker is a
 //! pure observer, and retries resolve against the schedule-derived failure
 //! timeline. Consequently the whole [`ServeReport`] (ledger, sketch, epoch
-//! series) is byte-identical between the serial path (`threads <= 1`) and
-//! any sharded thread count — the gate the `slo` bench enforces.
+//! series) is byte-identical between the serial path (`threads <= 1`,
+//! [`System::run`]'s feed) and any sharded thread count, for every scheme
+//! and arrival shape — `tests/properties.rs` pins it.
 
 use silcfm_fault::{FaultDriver, FaultSchedule, FaultStats};
 use silcfm_sim::{run_system_sharded_tapped, FaultParams, RunParams, SchemeKind, ShardParams};
@@ -78,8 +79,9 @@ pub fn plan_trial(
 /// Runs one serving trial: `rate_per_m` requests per million cycles per
 /// lane, shaped by `arrival`, against `scheme`. `faults: Some(..)` arms the
 /// engine's fault driver *and* the retry ladder's failure timeline from the
-/// same schedule. `shard.threads <= 1` is the serial engine; any higher
-/// count must produce a byte-identical report.
+/// same schedule. `shard.threads <= 1` runs [`System::run`]'s serial feed
+/// over the planned streams; any higher count shards generation across
+/// producer threads and must produce a byte-identical report.
 ///
 /// # Errors
 ///
@@ -199,36 +201,6 @@ mod tests {
         assert!(r.cycles > 0);
         assert_eq!(r.fault_stats.injected, 0);
         assert_eq!(r.producer_threads, 0);
-    }
-
-    #[test]
-    fn sharded_trials_are_byte_identical_to_serial() {
-        let (profile, cfg, params, serve) = base();
-        let arrival = arrivals::by_name("bursty").unwrap();
-        let run_at = |threads| {
-            run_serve(
-                profile,
-                SchemeKind::silcfm(),
-                &cfg,
-                &params,
-                &serve,
-                arrival,
-                12,
-                None,
-                &ShardParams::with_threads(threads),
-            )
-            .unwrap()
-        };
-        let serial = run_at(1);
-        for threads in [2usize, 4] {
-            let sharded = run_at(threads);
-            assert_eq!(
-                serial.digest(),
-                sharded.digest(),
-                "threads={threads} must match serial byte for byte"
-            );
-            assert!(sharded.stats.ledger.conserved());
-        }
     }
 
     #[test]

@@ -20,8 +20,18 @@ fn serve_params() -> ServeParams {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// The schemes the `slo` bin's serving table compares.
+fn slo_lineup() -> [SchemeKind; 4] {
+    [
+        SchemeKind::silcfm(),
+        SchemeKind::Hma,
+        SchemeKind::Cameo,
+        SchemeKind::Pom,
+    ]
+}
+
 fn run_once(
+    scheme: SchemeKind,
     workload: &str,
     arrival: &str,
     rate: u64,
@@ -30,7 +40,7 @@ fn run_once(
 ) -> silcfm_serve::ServeReport {
     run_serve(
         profiles::by_name(workload).unwrap(),
-        SchemeKind::silcfm(),
+        scheme,
         &SystemConfig::small(),
         &RunParams::smoke(),
         &serve_params(),
@@ -44,20 +54,28 @@ fn run_once(
 
 /// The full serving-plane digest — ledger, latency sketch, epoch series —
 /// must be a pure function of the trial's inputs, independent of the
-/// engine's thread count, for every arrival shape. Faults included: fault
-/// delivery happens on the consumer, so arming the driver must not break
-/// the identity either.
+/// engine's thread count, for every scheme of the `slo` lineup and every
+/// arrival shape. Faults included: fault delivery happens on the consumer,
+/// so arming the fault schedule must not break the identity either.
 #[test]
 fn request_plane_digest_is_thread_invariant() {
-    for (workload, arrival, rate) in [("lib", "diurnal", 25), ("mcf", "poisson", 40)] {
-        let serial = run_once(workload, arrival, rate, 1, None);
-        for threads in [2usize, 4] {
-            let sharded = run_once(workload, arrival, rate, threads, None);
-            assert_eq!(
-                serial.digest(),
-                sharded.digest(),
-                "{workload}/{arrival} threads={threads} diverged from serial"
-            );
+    for scheme in slo_lineup() {
+        for (workload, arrival, rate) in [
+            ("lib", "diurnal", 25),
+            ("mcf", "poisson", 40),
+            ("milc", "bursty", 12),
+        ] {
+            let serial = run_once(scheme, workload, arrival, rate, 1, None);
+            assert!(serial.stats.ledger.conserved());
+            for threads in [2usize, 4] {
+                let sharded = run_once(scheme, workload, arrival, rate, threads, None);
+                assert_eq!(
+                    serial.digest(),
+                    sharded.digest(),
+                    "{}: {workload}/{arrival} threads={threads} diverged from serial",
+                    scheme.label()
+                );
+            }
         }
     }
 
@@ -66,10 +84,17 @@ fn request_plane_digest_is_thread_invariant() {
         horizon_cycles: 3_000_000,
         rates: FaultRates::harsh(),
     };
-    let serial = run_once("milc", "bursty", 30, 1, Some(&faults));
+    let serial = run_once(SchemeKind::silcfm(), "milc", "bursty", 30, 1, Some(&faults));
     assert!(serial.faults_delivered > 0);
     for threads in [2usize, 4] {
-        let sharded = run_once("milc", "bursty", 30, threads, Some(&faults));
+        let sharded = run_once(
+            SchemeKind::silcfm(),
+            "milc",
+            "bursty",
+            30,
+            threads,
+            Some(&faults),
+        );
         assert_eq!(
             serial.digest(),
             sharded.digest(),
@@ -99,7 +124,14 @@ fn ledger_conserves_under_random_fault_schedules() {
                 FaultRates::harsh()
             },
         };
-        let r = run_once(workload, arrival, rate, 1, Some(&faults));
+        let r = run_once(
+            SchemeKind::silcfm(),
+            workload,
+            arrival,
+            rate,
+            1,
+            Some(&faults),
+        );
         assert!(
             r.stats.ledger.conserved(),
             "round {round} ({workload}/{arrival} rate={rate}): ledger leaks: {:?}",

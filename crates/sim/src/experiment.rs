@@ -379,21 +379,9 @@ pub enum Tier {
     },
 }
 
-/// Which engine executes a run. Both produce bit-identical results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// The run loop on the calling thread, generators inline.
-    #[default]
-    Serial,
-    /// Workload generation on producer threads, the shared-state commit
-    /// loop on the calling thread, lane deltas merged at epoch barriers
-    /// (DESIGN.md §11).
-    Sharded(ShardParams),
-}
-
 /// Everything about *how* to run a simulation, apart from what to simulate:
-/// the tracer tier, its sizing, an optional fault schedule, and the engine.
-/// `RunSpec::default()` is the plain run: untraced, fault-free, serial.
+/// the tracer tier, its sizing, and an optional fault schedule.
+/// `RunSpec::default()` is the plain run: untraced and fault-free.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RunSpec {
     /// Tracers and observability report.
@@ -402,14 +390,12 @@ pub struct RunSpec {
     pub trace: TraceParams,
     /// Deterministic fault schedule to arm, if any.
     pub faults: Option<FaultParams>,
-    /// Serial or sharded execution.
-    pub engine: Engine,
 }
 
 /// What [`run_spec`] measured.
 #[derive(Debug, Clone)]
 pub struct RunOutput {
-    /// The figure-level metrics, bit-identical across tiers and engines.
+    /// The figure-level metrics, bit-identical across tiers.
     pub result: RunResult,
     /// The observability report; `Some` exactly for [`Tier::MetricsOnly`]
     /// and [`Tier::Sampled`].
@@ -420,14 +406,11 @@ pub struct RunOutput {
     pub counters: [u64; EVENT_KINDS],
     /// The fault-effect ledger; all zero when no faults were armed.
     pub faults: FaultStats,
-    /// The sharded engine's merge report; `Some` exactly for
-    /// [`Engine::Sharded`].
-    pub shard: Option<ShardReport>,
 }
 
 /// Simulates `scheme` on `profile` (rate mode: one copy per core) the way
-/// `spec` says, and returns the measured metrics plus whatever the tier,
-/// fault plane and engine report.
+/// `spec` says, and returns the measured metrics plus whatever the tier and
+/// fault plane report.
 ///
 /// # Errors
 ///
@@ -443,6 +426,20 @@ pub fn run_spec(
     params: &RunParams,
     spec: &RunSpec,
 ) -> Result<RunOutput, SilcFmError> {
+    drive_spec(profile, scheme, cfg, params, spec, None).map(|(out, _)| out)
+}
+
+/// The one run path behind [`run_spec`] and [`run_sharded`]: the run `spec`
+/// describes, on [`System::run`] or — given `shard` — on the sharded
+/// runner, whose merge report comes back alongside.
+fn drive_spec(
+    profile: &WorkloadProfile,
+    scheme: SchemeKind,
+    cfg: &SystemConfig,
+    params: &RunParams,
+    spec: &RunSpec,
+    shard: Option<&ShardParams>,
+) -> Result<(RunOutput, Option<ShardReport>), SilcFmError> {
     let scaled = profiles::scaled(profile, params.footprint_scale);
     let space = space_for(&scaled, cfg, params);
     let total = params.accesses_per_core * u64::from(cfg.core.cores);
@@ -457,7 +454,7 @@ pub fn run_spec(
             .faults
             .map(|f| f.driver_for(&scheme, space))
             .transpose()?,
-        engine: spec.engine,
+        shard: shard.copied(),
     };
     let capacity = spec.trace.events_capacity;
     // The expected length is a preallocation hint only; the sampler grows
@@ -495,19 +492,20 @@ struct Prologue<'a> {
     params: &'a RunParams,
     space: AddressSpace,
     faults: Option<FaultDriver>,
-    engine: Engine,
+    shard: Option<ShardParams>,
 }
 
 impl Prologue<'_> {
     /// Builds the machine around the tier's scheme instance and DRAM
-    /// tracers, runs it on the chosen engine, and collects every output.
+    /// tracers, runs it (sharded when `shard` is set), and collects every
+    /// output.
     fn drive<T: Tracer>(
         self,
         instance: Box<dyn MemoryScheme>,
         nm_tracer: T,
         fm_tracer: T,
         obs: Option<RunObs>,
-    ) -> RunOutput {
+    ) -> (RunOutput, Option<ShardReport>) {
         let mut system = System::with_observability(
             *self.cfg,
             self.space,
@@ -521,9 +519,9 @@ impl Prologue<'_> {
             system.set_fault_driver(driver);
         }
         let (apc, seed) = (self.params.accesses_per_core, self.params.seed);
-        let (outcome, shard) = match self.engine {
-            Engine::Serial => (system.run(&self.scaled, apc, seed), None),
-            Engine::Sharded(shard) => {
+        let (outcome, report) = match self.shard {
+            None => (system.run(&self.scaled, apc, seed), None),
+            Some(shard) => {
                 let (outcome, report) =
                     run_system_sharded(&mut system, &self.scaled, apc, seed, &shard);
                 (outcome, Some(report))
@@ -533,13 +531,15 @@ impl Prologue<'_> {
         let counters = system.scheme().trace_counters();
         let faults = *system.fault_stats();
         let obs = system.finish_observation(outcome.cycles);
-        RunOutput {
-            result,
-            obs,
-            counters,
-            faults,
-            shard,
-        }
+        (
+            RunOutput {
+                result,
+                obs,
+                counters,
+                faults,
+            },
+            report,
+        )
     }
 }
 
@@ -560,8 +560,10 @@ pub fn run(
         .result
 }
 
-/// [`run`] on the sharded engine ([`Engine::Sharded`]): the [`RunResult`]
-/// is bit-identical to [`run`]'s at any [`ShardParams::threads`].
+/// [`run`] on the sharded runner
+/// ([`run_system_sharded_tapped`](crate::run_system_sharded_tapped),
+/// DESIGN.md §11): the [`RunResult`] is bit-identical to [`run`]'s at any
+/// [`ShardParams::threads`].
 pub fn run_sharded(
     profile: &WorkloadProfile,
     scheme: SchemeKind,
@@ -569,20 +571,24 @@ pub fn run_sharded(
     params: &RunParams,
     shard: &ShardParams,
 ) -> (RunResult, ShardReport) {
-    let spec = RunSpec {
-        engine: Engine::Sharded(*shard),
-        ..RunSpec::default()
-    };
     #[allow(
         clippy::expect_used,
-        reason = "the spec arms no faults, the only fallible input"
+        reason = "the default spec arms no faults, the only fallible input"
     )]
-    let out = run_spec(profile, scheme, cfg, params, &spec).expect("a fault-free run cannot fail");
+    let (out, report) = drive_spec(
+        profile,
+        scheme,
+        cfg,
+        params,
+        &RunSpec::default(),
+        Some(shard),
+    )
+    .expect("a fault-free run cannot fail");
     #[allow(
         clippy::expect_used,
-        reason = "the sharded engine always reports its merge"
+        reason = "a sharded drive always reports its merge"
     )]
-    let report = out.shard.expect("a sharded run reports its merge");
+    let report = report.expect("a sharded run reports its merge");
     (out.result, report)
 }
 

@@ -206,9 +206,9 @@ impl<R: Record> Journal<R> {
 /// to the grid — a workload, a scheme parameter, a seed, the fault plane —
 /// changes the digest and makes old journals unusable (resuming against a
 /// different grid would splice incompatible results). The tracer tier and
-/// the engine are deliberately not covered: neither changes a result, so
-/// serial and sharded runs share journals. Without faults the digest covers
-/// the jobs alone.
+/// the worker count are deliberately not covered: neither changes a
+/// result, so runs that differ only in them share journals. Without faults
+/// the digest covers the jobs alone.
 pub fn grid_digest(jobs: &[Job], faults: Option<&FaultParams>) -> u64 {
     let mut h = FxHasher::default();
     jobs.len().hash(&mut h);

@@ -32,14 +32,11 @@ pub mod shard;
 pub mod system;
 
 pub use experiment::{
-    run, run_sharded, run_spec, Engine, FaultParams, RunOutput, RunParams, RunSpec, SchemeKind,
-    Tier, TraceParams,
+    run, run_sharded, run_spec, FaultParams, RunOutput, RunParams, RunSpec, SchemeKind, Tier,
+    TraceParams,
 };
 pub use metrics::{RunResult, TrafficTally};
 pub use observe::RunObs;
 pub use runner::{run_grid, run_grid_journaled, run_grid_serial, ExperimentGrid, Job};
-pub use shard::{
-    run_system_sharded, run_system_sharded_tapped, LaneSource, RecordStream, ShardParams,
-    ShardReport,
-};
-pub use system::{NullTap, RecordFeed, ServiceTap, System};
+pub use shard::{run_system_sharded_tapped, LaneSource, ShardParams, ShardReport};
+pub use system::{NullTap, RecordFeed, RecordStream, ServiceTap, System};

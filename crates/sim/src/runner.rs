@@ -1,4 +1,4 @@
-//! Sharded parallel execution of experiment grids.
+//! Parallel execution of experiment grids.
 //!
 //! Every figure harness runs the same shape of computation: a grid of
 //! (workload profile × scheme × configuration point) simulations, each
@@ -162,7 +162,7 @@ impl ExperimentGrid {
 #[allow(
     clippy::disallowed_methods,
     reason = "explicit operator knob; thread count cannot change results \
-              (sharded runner is bit-identical at any width, see tests)"
+              (the grid pool is bit-identical at any width, see tests)"
 )]
 pub fn default_threads() -> usize {
     std::env::var("SILCFM_THREADS")
@@ -247,9 +247,10 @@ fn run_job(job: &Job, spec: &RunSpec) -> Result<RunOutput, SilcFmError> {
 }
 
 /// Runs `jobs` the way `spec` says across `threads` work-stealing workers
-/// and returns the outputs in job order. Each job's tracers are its own, so
-/// results, reports and their exports are bit-identical to a serial loop
-/// over [`run_spec`] at any thread count.
+/// and returns the outputs in job order. Parallelism is across jobs only:
+/// each job runs serially ([`run_spec`]) on one worker with tracers of its
+/// own, so results, reports and their exports are bit-identical to a
+/// serial loop over [`run_spec`] at any thread count.
 ///
 /// # Errors
 ///
@@ -285,9 +286,9 @@ pub fn run_grid(
 /// was killed and resumed, or was resumed with nothing left to do.
 ///
 /// The journal is bound to the jobs and `spec.faults` (see
-/// [`journal::grid_digest`]) but not to the tier or engine, which never
-/// change a result: a grid journaled serially can be resumed sharded and
-/// vice versa.
+/// [`journal::grid_digest`]) but not to the tier, which never changes a
+/// result, nor to `threads`: a grid journaled on one worker can be resumed
+/// on several and vice versa.
 ///
 /// `on_done(index, result)` fires once per *newly executed* job, in
 /// completion order (not job order), for progress reporting and
@@ -352,8 +353,7 @@ pub fn run_grid_journaled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{Engine, FaultParams, Tier, TraceParams};
-    use crate::shard::ShardParams;
+    use crate::experiment::{FaultParams, Tier, TraceParams};
     use silcfm_fault::FaultRates;
     use silcfm_trace::profiles;
 
@@ -361,15 +361,7 @@ mod tests {
         tier: Tier::Off,
         trace: TraceParams::default_capture(),
         faults: None,
-        engine: Engine::Serial,
     };
-
-    fn sharded(threads: usize) -> RunSpec {
-        RunSpec {
-            engine: Engine::Sharded(ShardParams::with_threads(threads)),
-            ..PLAIN
-        }
-    }
 
     fn small_grid() -> Vec<Job> {
         ExperimentGrid::new(SystemConfig::small(), RunParams::smoke())
@@ -486,50 +478,6 @@ mod tests {
         executed.sort_unstable();
         assert_eq!(executed, vec![3, 4, 5], "only the missing jobs run");
         assert_eq!(serial, resumed, "resumed aggregate is bit-identical");
-    }
-
-    #[test]
-    fn sharded_grid_matches_serial_bit_for_bit() {
-        let jobs = small_grid();
-        let serial = run_grid_serial(&jobs);
-        let sharded: Vec<RunResult> = run_grid(&jobs, &sharded(2), 1)
-            .unwrap()
-            .into_iter()
-            .map(|o| o.result)
-            .collect();
-        assert_eq!(serial, sharded);
-    }
-
-    #[test]
-    fn journal_written_serially_resumes_sharded_and_vice_versa() {
-        let jobs = small_grid();
-        let serial = run_grid_serial(&jobs);
-
-        // Serial prefix, sharded resume.
-        let path = tmp("crossmode.journal");
-        let digest = journal::grid_digest(&jobs, None);
-        let mut w = Journal::create(&path, digest).unwrap();
-        for (index, result) in serial.iter().cloned().enumerate().take(2) {
-            w.append(&JobRecord { index, result }).unwrap();
-        }
-        drop(w);
-        let mut executed = Vec::new();
-        let resumed =
-            run_grid_journaled(&jobs, &sharded(3), 1, &path, true, |i, _| executed.push(i))
-                .unwrap();
-        executed.sort_unstable();
-        assert_eq!(executed, vec![2, 3, 4, 5]);
-        assert_eq!(serial, resumed);
-
-        // Sharded prefix, serial resume: the journal carries no trace of
-        // which mode wrote it, because the records are bit-identical.
-        let path = tmp("crossmode-back.journal");
-        let _ = run_grid_journaled(&jobs[..3], &sharded(2), 1, &path, false, |_, _| {}).unwrap();
-        let first = std::fs::read_to_string(&path).unwrap();
-        let path2 = tmp("crossmode-serial.journal");
-        let _ = run_grid_journaled(&jobs[..3], &PLAIN, 1, &path2, false, |_, _| {}).unwrap();
-        let second = std::fs::read_to_string(&path2).unwrap();
-        assert_eq!(first, second, "journal bytes are mode-invariant");
     }
 
     #[test]

@@ -33,9 +33,12 @@
 //! assert it stays zero and that the checksum is invariant across thread
 //! counts.
 //!
-//! Throughput scales with the workload-generation share of the run (the
-//! shared-state commit loop is the serial fraction); the `scaling` bench
-//! bin measures the sweep and records it in `results/BENCH_throughput.json`.
+//! At one thread there is nothing to shard: the run takes
+//! [`System::run`]'s serial feed over the same lane streams, with no
+//! workers and no merge. Throughput at two or more threads scales with the
+//! workload-generation share of the run (the shared-state commit loop is
+//! the serial fraction); perfbench times the 2-thread run of every serving
+//! trial against the serial one (`sim.shard.speedup`).
 
 use std::collections::VecDeque;
 use std::hash::Hasher as _;
@@ -45,29 +48,14 @@ use silcfm_trace::{WorkloadGen, WorkloadProfile};
 use silcfm_types::obs::Tracer;
 use silcfm_types::{CoreId, FxHasher, TraceRecord, VirtAddr};
 
-use crate::system::{NullTap, RecordFeed, ServiceTap, System, SystemOutcome};
+use crate::system::{
+    NullTap, RecordFeed, RecordStream, ServiceTap, StreamFeed, System, SystemOutcome,
+};
 
-/// One lane's record generator, as the sharded runner sees it: an infinite
-/// deterministic stream. [`WorkloadGen`] is the closed-loop implementation;
-/// the request-serving plane layers arrival stamps and admission over it
-/// with its own implementation. Streams must be pure functions of their
-/// construction inputs — that purity is what makes sharded runs
-/// bit-identical to serial ones.
-pub trait RecordStream {
-    /// Produces the stream's next record.
-    fn next_record(&mut self) -> TraceRecord;
-}
-
-impl RecordStream for WorkloadGen {
-    fn next_record(&mut self) -> TraceRecord {
-        WorkloadGen::next_record(self)
-    }
-}
-
-/// A factory of per-lane [`RecordStream`]s: producers (or the inline mode)
-/// call [`stream`] once per owned lane, on whatever thread owns it, so the
-/// factory must be shareable while the streams themselves move to their
-/// thread.
+/// A factory of per-lane [`RecordStream`]s: producers (or the serial feed,
+/// at one thread) call [`stream`] once per owned lane, on whatever thread
+/// owns it, so the factory must be shareable while the streams themselves
+/// move to their thread.
 ///
 /// [`stream`]: LaneSource::stream
 pub trait LaneSource: Sync {
@@ -80,8 +68,8 @@ pub trait LaneSource: Sync {
     fn stream(&self, lane: usize) -> Self::Stream;
 }
 
-/// The closed-loop source behind [`run_system_sharded`]: one
-/// [`WorkloadGen`] per lane, the exact generators the serial path builds.
+/// The closed-loop source behind `run_sharded`: one [`WorkloadGen`] per
+/// lane, the exact generators the serial path builds.
 struct WorkloadSource<'p> {
     profile: &'p WorkloadProfile,
     seed: u64,
@@ -99,8 +87,8 @@ impl LaneSource for WorkloadSource<'_> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardParams {
     /// Total threads the run may use, consumer included. `1` (or `0`) runs
-    /// the chunked feed inline on the calling thread — same merge path, no
-    /// workers; `t >= 2` spawns `min(t - 1, lanes)` producer threads.
+    /// [`System::run`]'s serial feed on the calling thread — no workers, no
+    /// merge; `t >= 2` spawns `min(t - 1, lanes)` producer threads.
     pub threads: usize,
     /// Records per lane per epoch (the barrier spacing). Larger epochs
     /// amortize handoff synchronization; smaller ones bound lookahead
@@ -118,12 +106,6 @@ impl ShardParams {
             epoch_records: 4096,
             lookahead_epochs: 4,
         }
-    }
-}
-
-impl Default for ShardParams {
-    fn default() -> Self {
-        Self::with_threads(crate::runner::default_threads())
     }
 }
 
@@ -170,7 +152,8 @@ impl LaneDelta {
 pub struct ShardReport {
     /// Workload lanes (= simulated cores).
     pub lanes: usize,
-    /// Producer threads actually spawned (0 = inline chunked mode).
+    /// Producer threads actually spawned. 0 is the serial feed, which
+    /// merges nothing: `epochs_merged` is 0 and `merged` is empty.
     pub producer_threads: usize,
     /// Records per lane per epoch.
     pub epoch_records: u64,
@@ -413,23 +396,26 @@ impl EpochMerge {
             self.epochs_merged += 1;
         }
     }
-}
 
-/// Inline chunk generation for the single-threaded mode: the same chunked
-/// feed and merge path, with chunks produced on demand by the consumer.
-struct InlineLane<G: RecordStream> {
-    gen: G,
-    remaining: u64,
-    spare: Vec<Vec<TraceRecord>>,
-}
-
-/// Where a lane's next chunk comes from.
-enum ChunkSource<'q, G: RecordStream> {
-    Inline(Vec<InlineLane<G>>),
-    Queues {
-        queues: &'q [LaneQueue],
-        space: &'q SpaceSignal,
-    },
+    /// Seals the merge into the run's report. Every chunk has drained by
+    /// now (the run loop consumes exactly what the producers generate), so
+    /// any delta still waiting in the window is a torn handoff.
+    fn report(self, producer_threads: usize, epoch_records: u64) -> ShardReport {
+        let leftovers: u64 = self
+            .window
+            .iter()
+            .map(|slot| slot.deltas.iter().flatten().count() as u64)
+            .sum();
+        ShardReport {
+            lanes: self.lanes,
+            producer_threads,
+            epoch_records,
+            epochs_merged: self.epochs_merged,
+            merged: self.merged,
+            checksum: self.hasher.finish(),
+            delta_mismatches: self.delta_mismatches + leftovers,
+        }
+    }
 }
 
 /// Per-lane consumption state.
@@ -456,48 +442,33 @@ impl Cursor {
     }
 }
 
-/// The sharded [`RecordFeed`]: hands each lane's pre-generated records to
-/// the run loop and drives the epoch-barrier merge as chunks drain.
-struct ShardFeed<'q, G: RecordStream> {
-    source: ChunkSource<'q, G>,
+/// The sharded [`RecordFeed`]: hands each lane's pre-generated records
+/// from its producer queue to the run loop and drives the epoch-barrier
+/// merge as chunks drain.
+struct ShardFeed<'q> {
+    queues: &'q [LaneQueue],
+    space: &'q SpaceSignal,
     cursors: Vec<Cursor>,
-    epoch_records: u64,
     merge: EpochMerge,
 }
 
-impl<'q, G: RecordStream> ShardFeed<'q, G> {
-    fn new(source: ChunkSource<'q, G>, lanes: usize, epoch_records: u64) -> Self {
+impl<'q> ShardFeed<'q> {
+    fn new(queues: &'q [LaneQueue], space: &'q SpaceSignal) -> Self {
         Self {
-            source,
-            cursors: (0..lanes).map(|_| Cursor::new()).collect(),
-            epoch_records,
-            merge: EpochMerge::new(lanes),
+            queues,
+            space,
+            cursors: (0..queues.len()).map(|_| Cursor::new()).collect(),
+            merge: EpochMerge::new(queues.len()),
         }
     }
 
     /// Installs lane `lane`'s next chunk into its cursor.
     fn refill(&mut self, lane: usize) {
-        let chunk = match &mut self.source {
-            ChunkSource::Queues { queues, space } => match queues.get(lane) {
-                Some(q) => q.pop(space),
-                None => {
-                    debug_assert!(false, "no queue for lane {lane}");
-                    return;
-                }
-            },
-            ChunkSource::Inline(lanes) => match lanes.get_mut(lane) {
-                Some(il) => {
-                    let buf = il.spare.pop().unwrap_or_default();
-                    let count = il.remaining.min(self.epoch_records);
-                    il.remaining -= count;
-                    fill_chunk(&mut il.gen, buf, count)
-                }
-                None => {
-                    debug_assert!(false, "no inline generator for lane {lane}");
-                    return;
-                }
-            },
+        let Some(q) = self.queues.get(lane) else {
+            debug_assert!(false, "no queue for lane {lane}");
+            return;
         };
+        let chunk = q.pop(self.space);
         if let Some(cur) = self.cursors.get_mut(lane) {
             cur.records = chunk.records;
             cur.produced = chunk.delta;
@@ -523,46 +494,13 @@ impl<'q, G: RecordStream> ShardFeed<'q, G> {
             self.merge.delta_mismatches += 1;
         }
         self.merge.complete(lane, epoch, consumed);
-        match &mut self.source {
-            ChunkSource::Queues { queues, .. } => {
-                if let Some(q) = queues.get(lane) {
-                    q.recycle(buf);
-                }
-            }
-            ChunkSource::Inline(lanes) => {
-                if let Some(il) = lanes.get_mut(lane) {
-                    il.spare.push(buf);
-                }
-            }
+        if let Some(q) = self.queues.get(lane) {
+            q.recycle(buf);
         }
-    }
-
-    /// Seals the run into its report. All chunks have drained by now (the
-    /// run loop consumes exactly what the producers generate), so the merge
-    /// window is empty unless a handoff tore.
-    fn finish(mut self, producer_threads: usize) -> ShardReport {
-        self.merge.delta_mismatches += self.window_leftovers();
-        ShardReport {
-            lanes: self.cursors.len(),
-            producer_threads,
-            epoch_records: self.epoch_records,
-            epochs_merged: self.merge.epochs_merged,
-            merged: self.merge.merged,
-            checksum: self.merge.hasher.finish(),
-            delta_mismatches: self.merge.delta_mismatches,
-        }
-    }
-
-    fn window_leftovers(&self) -> u64 {
-        self.merge
-            .window
-            .iter()
-            .map(|slot| slot.deltas.iter().flatten().count() as u64)
-            .sum()
     }
 }
 
-impl<G: RecordStream> RecordFeed for ShardFeed<'_, G> {
+impl RecordFeed for ShardFeed<'_> {
     fn next(&mut self, lane: usize) -> TraceRecord {
         let exhausted = match self.cursors.get(lane) {
             Some(cur) => cur.pos >= cur.records.len(),
@@ -683,14 +621,9 @@ fn producer<L: LaneSource>(
     }
 }
 
-/// Runs `system` sharded: per-lane record generation on producer threads
-/// (or inline when `shard.threads <= 1`), the shared-state commit loop on
-/// the calling thread, and deltas merged at epoch barriers in lane order.
-///
-/// The [`SystemOutcome`] — and every statistic the system accumulates — is
-/// bit-identical to [`System::run`] with the same arguments, at any thread
-/// count. See the module docs for why.
-pub fn run_system_sharded<T: Tracer>(
+/// The closed-loop spelling of [`run_system_sharded_tapped`] behind
+/// `run_sharded`: one [`WorkloadGen`] stream per lane and no tap.
+pub(crate) fn run_system_sharded<T: Tracer>(
     system: &mut System<T>,
     profile: &WorkloadProfile,
     accesses_per_core: u64,
@@ -701,12 +634,17 @@ pub fn run_system_sharded<T: Tracer>(
     run_system_sharded_tapped(system, &source, accesses_per_core, shard, &mut NullTap)
 }
 
-/// [`run_system_sharded`] generalized over the lane streams and a
-/// [`ServiceTap`]: the request-serving plane feeds admission-planned
-/// streams in through `source` and observes completions through `tap`,
-/// over the same producer/consumer machinery and epoch-barrier merge.
-/// With one [`WorkloadGen`] stream per lane and [`NullTap`] this *is*
-/// `run_system_sharded` — the closed-loop spelling delegates here.
+/// Runs `system` sharded: per-lane record generation from `source` on
+/// producer threads, the shared-state commit loop on the calling thread
+/// with `tap` observing every serviced record, and deltas merged at epoch
+/// barriers in lane order. `shard.threads <= 1` is [`System::run`]'s
+/// serial feed over the same streams. The request-serving plane feeds
+/// admission-planned streams in through `source` and observes completions
+/// through `tap`.
+///
+/// The [`SystemOutcome`] — and every statistic the system accumulates — is
+/// bit-identical to the serial feed's over the same streams, at any thread
+/// count. See the module docs for why.
 pub fn run_system_sharded_tapped<T: Tracer, L: LaneSource, S: ServiceTap>(
     system: &mut System<T>,
     source: &L,
@@ -723,16 +661,9 @@ pub fn run_system_sharded_tapped<T: Tracer, L: LaneSource, S: ServiceTap>(
     };
 
     if producers == 0 {
-        let inline: Vec<InlineLane<L::Stream>> = (0..lanes)
-            .map(|i| InlineLane {
-                gen: source.stream(i),
-                remaining: accesses_per_core,
-                spare: Vec::new(),
-            })
-            .collect();
-        let mut feed = ShardFeed::new(ChunkSource::Inline(inline), lanes, epoch);
+        let mut feed = StreamFeed::new((0..lanes).map(|i| source.stream(i)));
         let outcome = system.run_with_feed_tapped(&mut feed, accesses_per_core, tap);
-        return (outcome, feed.finish(0));
+        return (outcome, EpochMerge::new(lanes).report(0, epoch));
     }
 
     let queues: Vec<LaneQueue> = (0..lanes).map(|_| LaneQueue::new()).collect();
@@ -746,10 +677,9 @@ pub fn run_system_sharded_tapped<T: Tracer, L: LaneSource, S: ServiceTap>(
             let shard = *shard;
             scope.spawn(move || producer(ids, source, accesses_per_core, queues, space, shard));
         }
-        let mut feed =
-            ShardFeed::<L::Stream>::new(ChunkSource::Queues { queues, space }, lanes, epoch);
+        let mut feed = ShardFeed::new(queues, space);
         let outcome = system.run_with_feed_tapped(&mut feed, accesses_per_core, tap);
-        (outcome, feed.finish(producers))
+        (outcome, feed.merge.report(producers, epoch))
     })
 }
 
@@ -784,15 +714,27 @@ mod tests {
         let serial = serial_sys.run(&profile, 2_000, 42);
         let serial_tally = *serial_sys.tally();
 
-        let mut checksums = Vec::new();
-        for threads in [0, 1, 2, 3, 5, 9] {
-            let shard = ShardParams {
-                threads,
-                epoch_records: 96,
-                lookahead_epochs: 3,
-            };
+        let shard = |threads| ShardParams {
+            threads,
+            epoch_records: 96,
+            lookahead_epochs: 3,
+        };
+        // One thread or none is the serial feed: no producers, no merge.
+        for threads in [0, 1] {
             let mut sys = system();
-            let (outcome, report) = run_system_sharded(&mut sys, &profile, 2_000, 42, &shard);
+            let (outcome, report) =
+                run_system_sharded(&mut sys, &profile, 2_000, 42, &shard(threads));
+            assert_eq!(outcome, serial, "threads={threads}");
+            assert_eq!(*sys.tally(), serial_tally, "threads={threads}");
+            assert_eq!(report.producer_threads, 0);
+            assert_eq!(report.epochs_merged, 0);
+            assert_eq!(report.delta_mismatches, 0);
+        }
+        let mut checksums = Vec::new();
+        for threads in [2, 3, 5, 9] {
+            let mut sys = system();
+            let (outcome, report) =
+                run_system_sharded(&mut sys, &profile, 2_000, 42, &shard(threads));
             assert_eq!(outcome, serial, "threads={threads}");
             assert_eq!(*sys.tally(), serial_tally, "threads={threads}");
             assert_eq!(report.delta_mismatches, 0);

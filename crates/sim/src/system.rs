@@ -184,17 +184,35 @@ fn next_lane(issue_at: &[u64]) -> Option<(u64, usize)> {
     (best.0 != FINISHED).then_some(best)
 }
 
-/// The serial feed: one generator per lane, called inline from the run loop.
-struct GenFeed {
-    gens: Vec<WorkloadGen>,
+/// One lane's record generator: an infinite deterministic stream.
+/// [`WorkloadGen`] is the closed-loop implementation; the request-serving
+/// plane layers arrival stamps and admission over it with its own
+/// implementation. Streams must be pure functions of their construction
+/// inputs — that purity is what makes sharded runs ([`crate::shard`])
+/// bit-identical to serial ones.
+pub trait RecordStream {
+    /// Produces the stream's next record.
+    fn next_record(&mut self) -> TraceRecord;
 }
 
-impl GenFeed {
-    fn new(profile: &WorkloadProfile, lanes: usize, seed: u64) -> Self {
+impl RecordStream for WorkloadGen {
+    fn next_record(&mut self) -> TraceRecord {
+        WorkloadGen::next_record(self)
+    }
+}
+
+/// The serial feed: one [`RecordStream`] per lane, pulled inline by the
+/// run loop. [`System::run`] feeds its [`WorkloadGen`]s through it, and so
+/// does the sharded runner at one thread.
+pub(crate) struct StreamFeed<G> {
+    streams: Vec<G>,
+}
+
+impl<G: RecordStream> StreamFeed<G> {
+    /// A feed over `streams`, lane `i` reading `streams[i]`.
+    pub(crate) fn new(streams: impl IntoIterator<Item = G>) -> Self {
         Self {
-            gens: (0..lanes)
-                .map(|i| WorkloadGen::new(profile, CoreId::new(i as u16), seed))
-                .collect(),
+            streams: streams.into_iter().collect(),
         }
     }
 }
@@ -204,9 +222,9 @@ impl GenFeed {
 /// stay a few cache pages.
 const GEN_CHUNK: u64 = 1024;
 
-impl RecordFeed for GenFeed {
+impl<G: RecordStream> RecordFeed for StreamFeed<G> {
     fn next(&mut self, lane: usize) -> TraceRecord {
-        match self.gens.get_mut(lane) {
+        match self.streams.get_mut(lane) {
             Some(g) => g.next_record(),
             None => {
                 debug_assert!(false, "feed polled for a lane it does not own");
@@ -216,7 +234,7 @@ impl RecordFeed for GenFeed {
     }
 
     fn next_chunk(&mut self, lane: usize, buf: &mut Vec<TraceRecord>, max: u64) -> usize {
-        let Some(g) = self.gens.get_mut(lane) else {
+        let Some(g) = self.streams.get_mut(lane) else {
             debug_assert!(false, "feed polled for a lane it does not own");
             return 0;
         };
@@ -383,7 +401,10 @@ impl<T: Tracer> System<T> {
         accesses_per_core: u64,
         seed: u64,
     ) -> SystemOutcome {
-        let mut feed = GenFeed::new(profile, self.core_count(), seed);
+        let lanes = self.core_count();
+        let mut feed = StreamFeed::new(
+            (0..lanes).map(|i| WorkloadGen::new(profile, CoreId::new(i as u16), seed)),
+        );
         self.run_with_feed_tapped(&mut feed, accesses_per_core, &mut NullTap)
     }
 

@@ -56,6 +56,13 @@ cargo test -q --workspace --offline
 echo "==> perfbench build + tests (offline)"
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
+# Every benchmark job's output digest at the default seed must equal the
+# committed perfbench/golden.txt. The jobs run serially through `run` and
+# `run_serve`, so this pins the serial serving path the benchmark times.
+echo "==> perfbench digests (serial jobs vs perfbench/golden.txt)"
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --print-digests | diff - perfbench/golden.txt
+
 # The paper's tables and figures come from one binary. Table II simulates
 # nothing, so printing it proves the binary renders in milliseconds; an
 # unknown argument must be a usage error (exit 2), never a silent
@@ -68,10 +75,8 @@ rc=0
 [ "$rc" -eq 2 ] || { echo "expected usage error (exit 2) from paper --bogus, got $rc"; exit 1; }
 
 # Latency-percentile smoke: measure per-class demand-latency sketches
-# for every scheme on a 3-workload subset, and gate serial-vs-sharded
-# byte-identity of the sketch encodings (DESIGN.md §14) — the percentile
-# plane must not depend on the thread count.
-echo "==> latency percentiles (smoke, sharded byte-identity gate)"
+# for every scheme on a 3-workload subset (DESIGN.md §14).
+echo "==> latency percentiles (smoke)"
 cargo run --release --offline -p silcfm-bench --bin latency -- --smoke --no-write
 
 # Throughput benchmark + perf-regression gate: every scheme at the
@@ -116,34 +121,30 @@ cargo run --release --offline -p silcfm-obs --bin trace_check -- \
 echo "==> chaos soak (smoke)"
 cargo run --release --offline -p silcfm-bench --bin chaos -- --smoke
 
-# Kill-and-resume smoke: run a journaled fault grid with each cell
-# sharded across 2 threads, crash it mid-write after 2 of 4 jobs
-# (exit 3, torn tail on the journal), resume it — still sharded — and
-# demand the byte-identical aggregate an uninterrupted *serial* run
-# produces. Passing proves both crash-safety and that sharded execution
-# is mode-invariant (DESIGN.md §11): the journal cannot tell which
-# engine wrote it.
-echo "==> journaled grid kill-and-resume (smoke, sharded cells)"
+# Kill-and-resume smoke: run a journaled fault grid, crash it mid-write
+# after 2 of 4 jobs (exit 3, torn tail on the journal), resume it, and
+# demand the byte-identical aggregate an uninterrupted run produces
+# (DESIGN.md §10).
+echo "==> journaled grid kill-and-resume (smoke)"
 chaos_bin="target/release/chaos"
 journal_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir" "$journal_dir"' EXIT
 rc=0
 "$chaos_bin" --skip-soak --journal "$journal_dir/crash.journal" \
-  --die-after-jobs 2 --sharded 2 || rc=$?
+  --die-after-jobs 2 || rc=$?
 [ "$rc" -eq 3 ] || { echo "expected simulated crash (exit 3), got $rc"; exit 1; }
 resumed="$("$chaos_bin" --skip-soak --journal "$journal_dir/crash.journal" \
-  --resume --sharded 2 | grep -o 'aggregate=[0-9a-f]*')"
+  --resume | grep -o 'aggregate=[0-9a-f]*')"
 fresh="$("$chaos_bin" --skip-soak --journal "$journal_dir/fresh.journal" \
   | grep -o 'aggregate=[0-9a-f]*')"
 [ -n "$resumed" ] && [ "$resumed" = "$fresh" ] || {
   echo "resume aggregate mismatch: resumed='$resumed' fresh='$fresh'"; exit 1; }
-echo "    resumed (sharded) $resumed == fresh (serial) $fresh"
+echo "    resumed $resumed == fresh $fresh"
 
 # Serving-plane smoke: the SLO max-RPS search at CI size (DESIGN.md §15).
-# Writes results/BENCH_slo.json (uploaded as a workflow artifact), runs
-# the AIMD searches with the conservation ledger asserted on every trial,
-# and gates serial-vs-sharded byte-identity of the full serving digest.
-echo "==> SLO max-RPS search (smoke, sharded byte-identity gate)"
+# Writes results/BENCH_slo.json (uploaded as a workflow artifact) and runs
+# the AIMD searches with the conservation ledger asserted on every trial.
+echo "==> SLO max-RPS search (smoke)"
 slo_bin="target/release/slo"
 cargo run --release --offline -p silcfm-bench --bin slo -- --smoke
 
@@ -157,12 +158,12 @@ cargo run --release --offline -p silcfm-bench --bin slo -- --smoke
 # `slo` must then start a fresh journal rather than fail.
 echo "==> SLO search kill-and-resume (smoke)"
 rc=0
-"$slo_bin" --smoke --no-write --skip-check \
+"$slo_bin" --smoke --no-write \
   --journal "$journal_dir/slo.journal" --die-after-trials 4 || rc=$?
 [ "$rc" -eq 3 ] || { echo "expected simulated crash (exit 3), got $rc"; exit 1; }
-slo_resumed="$("$slo_bin" --smoke --no-write --skip-check \
+slo_resumed="$("$slo_bin" --smoke --no-write \
   --journal "$journal_dir/slo.journal" --resume | grep -o 'aggregate=[0-9a-f]*')"
-slo_fresh="$("$slo_bin" --smoke --no-write --skip-check \
+slo_fresh="$("$slo_bin" --smoke --no-write \
   --journal "$journal_dir/slo-fresh.journal" --resume | grep -o 'aggregate=[0-9a-f]*')"
 [ -n "$slo_resumed" ] && [ "$slo_resumed" = "$slo_fresh" ] || {
   echo "SLO resume aggregate mismatch: resumed='$slo_resumed' fresh='$slo_fresh'"
@@ -173,8 +174,8 @@ echo "    resumed $slo_resumed == fresh $slo_fresh, journals byte-identical"
 
 # Serving-plane fault soak: open-loop trials under harsh faults — request
 # ledger conservation, NACK windows pinned to real failure intervals, the
-# failover oracle, sharded identity under faults, and ledger evidence
-# behind every regulator back-off (DESIGN.md §15).
+# failover oracle, and ledger evidence behind every regulator back-off
+# (DESIGN.md §15).
 echo "==> chaos serving-plane soak (smoke)"
 "$chaos_bin" --smoke --skip-soak --slo
 

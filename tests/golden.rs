@@ -279,66 +279,3 @@ fn tracing_is_behavior_neutral_and_deterministic() {
         );
     }
 }
-
-/// The latency-percentile plane is engine-invariant: the per-class
-/// quantile-sketch encodings (and therefore every percentile report built
-/// from them) must be byte-identical whether a cell runs serially or on
-/// the sharded engine at 2 or 4 threads. The sketches fold samples in
-/// completion order, so this pins the guarantee that sharded epoch-barrier
-/// commits replay the *exact* serial completion sequence — a weaker
-/// "same multiset of samples" property would already give identical
-/// percentiles, but byte equality of the counts is what the journal and
-/// the grid aggregation rely on.
-#[test]
-fn latency_sketches_are_byte_identical_serial_vs_sharded() {
-    use silc_fm::sim::{Engine, ShardParams, Tier, TraceParams};
-
-    let spec = RunSpec {
-        tier: Tier::Sampled { period: 1 },
-        trace: TraceParams {
-            events_capacity: 1 << 14,
-            epoch_cycles: 50_000,
-        },
-        ..RunSpec::default()
-    };
-    // A slice of the snapshot grid with class diversity: SILC-FM exercises
-    // swap/bypass/lock paths, HMA the epoch-migration path.
-    let jobs: Vec<Job> = snapshot_jobs()
-        .into_iter()
-        .filter(|j| {
-            matches!(j.scheme, SchemeKind::Hma | SchemeKind::SilcFm(_))
-                && ["milc", "lib"].contains(&j.profile.name)
-        })
-        .collect();
-    assert_eq!(
-        jobs.len(),
-        4,
-        "the filter should keep 2 workloads x 2 schemes"
-    );
-
-    for job in &jobs {
-        let serial_report = run_job(job, &spec).obs.unwrap();
-        let mut serial_bytes = String::new();
-        serial_report.latency.encode(&mut serial_bytes);
-        assert!(
-            serial_report.latency.count() > 0,
-            "the percentile plane must see samples"
-        );
-        for threads in [2usize, 4] {
-            let sharded = RunSpec {
-                engine: Engine::Sharded(ShardParams::with_threads(threads)),
-                ..spec
-            };
-            let sharded_report = run_job(job, &sharded).obs.unwrap();
-            let mut sharded_bytes = String::new();
-            sharded_report.latency.encode(&mut sharded_bytes);
-            assert_eq!(
-                sharded_bytes,
-                serial_bytes,
-                "{}/{}: sketch bytes diverged at {threads} threads",
-                job.profile.name,
-                job.scheme.label()
-            );
-        }
-    }
-}

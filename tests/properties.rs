@@ -759,8 +759,8 @@ fn journal_format_is_pinned() {
 /// random workloads, schemes, run sizes, seeds and epoch geometries, the
 /// full result digest of `run_sharded` equals the serial `run`'s at every
 /// thread count in {1, 2, 3, 4, 7} — and the epoch-merge checksum is a pure
-/// function of the workload streams, so it never varies with the thread
-/// count either.
+/// function of the workload streams, so it never varies across the sharded
+/// counts either. One thread is the serial feed, which merges nothing.
 #[test]
 fn sharded_runs_match_serial_bit_for_bit() {
     use silc_fm::sim::{run, run_sharded, RunParams, SchemeKind, ShardParams};
@@ -809,6 +809,10 @@ fn sharded_runs_match_serial_bit_for_bit() {
                 report.delta_mismatches, 0,
                 "threads={threads} tore a handoff"
             );
+            if threads == 1 {
+                assert_eq!((report.producer_threads, report.epochs_merged), (0, 0));
+                continue;
+            }
             assert_eq!(
                 report.merged.records,
                 params.accesses_per_core * u64::from(cfg.core.cores),
@@ -824,24 +828,21 @@ fn sharded_runs_match_serial_bit_for_bit() {
 }
 
 /// Every cell of the run surface simulates the same machine. Over tier
-/// {Off, MetricsOnly, Sampled(1), Sampled(16)} × faults {none, harsh} × engine
-/// {serial, sharded}:
+/// {Off, MetricsOnly, Sampled(1), Sampled(16)} × faults {none, harsh}:
 ///
 /// * each cell's result digest equals the reference for its fault setting —
-///   plain `run` when fault-free, the untraced serial faulted cell when
-///   faults are armed;
-/// * fault ledgers are identical across engines and tiers and stay
-///   conserved, also after merging two of them;
-/// * latency-plane encodings, exact event counters, and Chrome/CSV exports
-///   are byte-equal between serial and sharded, and the latency plane does
-///   not depend on the tier.
+///   plain `run` when fault-free, the untraced faulted cell when faults are
+///   armed;
+/// * fault ledgers do not depend on the tier and stay conserved, also after
+///   merging two of them;
+/// * a fully traced, undropped stream tallies to the exact event counters,
+///   and the latency plane does not depend on the tier.
 #[test]
-fn sharded_traced_and_faulted_runs_match_serial() {
+fn tier_and_fault_cells_match_the_plain_run() {
     use silc_fm::fault::{FaultRates, FaultStats};
-    use silc_fm::obs::{export, Unit};
+    use silc_fm::obs::Unit;
     use silc_fm::sim::{
-        run, run_spec, Engine, FaultParams, RunParams, RunSpec, SchemeKind, ShardParams, Tier,
-        TraceParams,
+        run, run_spec, FaultParams, RunParams, RunSpec, SchemeKind, Tier, TraceParams,
     };
     use silc_fm::types::obs::EVENT_KINDS;
     use silc_fm::types::{FxHasher, SystemConfig};
@@ -853,7 +854,7 @@ fn sharded_traced_and_faulted_runs_match_serial() {
         h.finish()
     }
 
-    forall_cases("sharded_traced_and_faulted_runs_match_serial", 4, |rng| {
+    forall_cases("tier_and_fault_cells_match_the_plain_run", 4, |rng| {
         let profile = silc_fm::trace::profiles::by_name("milc").unwrap();
         let scheme = SchemeKind::silcfm();
         let cfg = SystemConfig::small();
@@ -861,11 +862,6 @@ fn sharded_traced_and_faulted_runs_match_serial() {
             accesses_per_core: rng.gen_range(1_500u64..3_000),
             seed: rng.gen_range(0u64..1 << 48),
             ..RunParams::smoke()
-        };
-        let shard = ShardParams {
-            threads: [2usize, 3, 7][rng.gen_range(0usize..3)],
-            epoch_records: rng.gen_range(64u64..1_000),
-            lookahead_epochs: rng.gen_range(1usize..4),
         };
         let trace = TraceParams {
             events_capacity: 1 << 14,
@@ -889,108 +885,72 @@ fn sharded_traced_and_faulted_runs_match_serial() {
                 Tier::Sampled { period: 16 },
             ] {
                 let label = format!("{tier:?} faulted={}", faults.is_some());
-                let cell = |engine| {
-                    let spec = RunSpec {
-                        tier,
-                        trace,
-                        faults,
-                        engine,
-                    };
-                    run_spec(profile, scheme, &cfg, &params, &spec).unwrap()
+                let spec = RunSpec {
+                    tier,
+                    trace,
+                    faults,
                 };
-                let serial = cell(Engine::Serial);
-                let sharded = cell(Engine::Sharded(shard));
+                let cell = run_spec(profile, scheme, &cfg, &params, &spec).unwrap();
 
-                let want = *want.get_or_insert(digest(&serial.result));
-                assert_eq!(
-                    digest(&serial.result),
-                    want,
-                    "{label}: serial result diverged"
-                );
-                assert_eq!(
-                    digest(&sharded.result),
-                    want,
-                    "{label}: sharded result diverged"
-                );
-                assert_eq!(sharded.shard.unwrap().delta_mismatches, 0, "{label}");
+                let want = *want.get_or_insert(digest(&cell.result));
+                assert_eq!(digest(&cell.result), want, "{label}: result diverged");
 
+                assert!(cell.faults.conserved(), "{label}");
+                let first = *ledger.get_or_insert(cell.faults);
                 assert_eq!(
-                    sharded.faults, serial.faults,
-                    "{label}: fault ledgers diverged"
-                );
-                assert!(serial.faults.conserved(), "{label}");
-                assert_eq!(
-                    *ledger.get_or_insert(serial.faults),
-                    serial.faults,
+                    first, cell.faults,
                     "{label}: fault ledger depends on the tier"
                 );
-                let mut merged = serial.faults;
-                merged.merge(&sharded.faults);
+                let mut merged = first;
+                merged.merge(&cell.faults);
                 assert!(merged.conserved(), "merged ledgers must not leak effects");
-                assert_eq!(merged.injected, 2 * serial.faults.injected);
+                assert_eq!(merged.injected, 2 * cell.faults.injected);
                 if faults.is_none() {
-                    assert_eq!(serial.faults, FaultStats::default(), "{label}");
+                    assert_eq!(cell.faults, FaultStats::default(), "{label}");
                 }
 
-                assert_eq!(
-                    sharded.counters, serial.counters,
-                    "{label}: counters diverged"
-                );
-                match (&serial.obs, &sharded.obs) {
-                    (None, None) => assert_eq!(tier, Tier::Off, "{label}: report missing"),
-                    (Some(s), Some(p)) => {
-                        let mut s_lat = String::new();
-                        s.latency.encode(&mut s_lat);
-                        let mut p_lat = String::new();
-                        p.latency.encode(&mut p_lat);
-                        assert_eq!(p_lat, s_lat, "{label}: latency plane diverged");
+                match &cell.obs {
+                    None => assert_eq!(tier, Tier::Off, "{label}: report missing"),
+                    Some(report) => {
+                        assert_ne!(tier, Tier::Off, "{label}: untraced run reported");
+                        let mut lat = String::new();
+                        report.latency.encode(&mut lat);
                         // Full tracing keeps every controller event, so a
                         // complete stream tallies to the exact counters.
-                        if tier == (Tier::Sampled { period: 1 }) && s.dropped == 0 {
+                        if tier == (Tier::Sampled { period: 1 }) && report.dropped == 0 {
                             let mut tally = [0u64; EVENT_KINDS];
-                            for e in s.events.iter().filter(|e| e.unit == Unit::Controller) {
+                            for e in report.events.iter().filter(|e| e.unit == Unit::Controller) {
                                 tally[e.event.kind_index()] += 1;
                             }
-                            assert_eq!(tally, serial.counters, "{label}: counters != trace");
+                            assert_eq!(tally, cell.counters, "{label}: counters != trace");
                         }
                         assert_eq!(
-                            *latency.get_or_insert_with(|| s_lat.clone()),
-                            s_lat,
+                            *latency.get_or_insert_with(|| lat.clone()),
+                            lat,
                             "{label}: latency plane depends on the tier"
                         );
-                        assert_eq!(
-                            export::chrome_trace(p),
-                            export::chrome_trace(s),
-                            "{label}: chrome trace diverged under sharding"
-                        );
-                        assert_eq!(
-                            export::csv_series(p),
-                            export::csv_series(s),
-                            "{label}: CSV time series diverged under sharding"
-                        );
                     }
-                    _ => panic!("{label}: engines disagree on whether a report exists"),
                 }
             }
         }
     });
 }
 
-/// PR 5's crash model applied to the *sharded* journaled runner: cut the
-/// journal at an arbitrary byte, resume sharded, and the aggregate — and
-/// the finished journal file itself — must come back byte-identical to the
+/// The journal's crash model applied to the journaled grid runner: cut the
+/// journal at an arbitrary byte, resume, and the aggregate — and the
+/// finished journal file itself — must come back byte-identical to the
 /// uninterrupted run's.
 #[test]
-fn sharded_journaled_grid_survives_random_cuts() {
+fn journaled_grid_survives_random_cuts() {
     use silc_fm::sim::runner::ExperimentGrid;
-    use silc_fm::sim::{run_grid_journaled, Engine, RunParams, RunSpec, SchemeKind, ShardParams};
+    use silc_fm::sim::{run_grid_journaled, RunParams, RunSpec, SchemeKind};
     use silc_fm::types::SystemConfig;
 
     let dir =
-        std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("silcfm-prop-shard-journal");
+        std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("silcfm-prop-grid-journal");
     std::fs::create_dir_all(&dir).unwrap();
 
-    forall_cases("sharded_journaled_grid_survives_random_cuts", 6, |rng| {
+    forall_cases("journaled_grid_survives_random_cuts", 6, |rng| {
         let params = RunParams {
             accesses_per_core: rng.gen_range(1_000u64..2_000),
             seed: rng.gen_range(0u64..1 << 48),
@@ -1002,14 +962,7 @@ fn sharded_journaled_grid_survives_random_cuts() {
             .scheme(SchemeKind::silcfm())
             .seed_per_job()
             .jobs();
-        let spec = RunSpec {
-            engine: Engine::Sharded(ShardParams {
-                threads: rng.gen_range(2usize..4),
-                epoch_records: rng.gen_range(128u64..600),
-                lookahead_epochs: 2,
-            }),
-            ..RunSpec::default()
-        };
+        let spec = RunSpec::default();
         let path = dir.join(format!(
             "case-{:016x}.journal",
             rng.gen_range(0u64..u64::MAX)
