@@ -17,7 +17,7 @@
 //!   --out PATH    output JSON path (default results/BENCH_latency.json)
 //!   --no-write    measure and print, but do not write the JSON
 
-use silcfm_bench::{lineup, write_artifact};
+use silcfm_bench::{lineup, write_artifact, Args};
 use silcfm_obs::{LatencyBreakdown, QuantileSketch};
 use silcfm_sim::runner::{default_threads, run_grid, ExperimentGrid};
 use silcfm_sim::{RunParams, RunSpec, Tier};
@@ -43,24 +43,19 @@ fn parse_args() -> Options {
         out: "results/BENCH_latency.json".to_string(),
         write: true,
     };
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::from_env("usage: latency [--smoke | --full] [--out PATH] [--no-write]");
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => opts.smoke = true,
             "--full" => opts.full = true,
-            "--out" => opts.out = args.next().expect("--out needs a path"),
+            "--out" => opts.out = args.value("--out"),
             "--no-write" => opts.write = false,
-            other => {
-                eprintln!("unknown argument '{other}'");
-                eprintln!("usage: latency [--smoke | --full] [--out PATH] [--no-write]");
-                std::process::exit(2);
-            }
+            other => args.fail(&format!("unknown argument '{other}'")),
         }
     }
-    assert!(
-        !(opts.smoke && opts.full),
-        "--smoke and --full are mutually exclusive"
-    );
+    if opts.smoke && opts.full {
+        args.fail("--smoke and --full are mutually exclusive");
+    }
     opts
 }
 

@@ -40,6 +40,7 @@
 use std::hash::{Hash, Hasher};
 use std::path::Path;
 
+use silcfm_bench::Args;
 use silcfm_fault::FaultRates;
 use silcfm_serve::{
     run_searches, run_serve, search_digest, AimdParams, ServeParams, ServeReport, SloJournal,
@@ -83,41 +84,27 @@ fn parse_args() -> Options {
         resume: false,
         die_after_trials: None,
     };
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::from_env(
+        "usage: slo [--smoke | --full] [--out PATH] [--no-write] \
+         [--journal PATH [--resume] [--die-after-trials N]]",
+    );
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => opts.smoke = true,
             "--full" => opts.full = true,
-            "--out" => {
-                opts.out = args
-                    .next()
-                    .unwrap_or_else(|| usage_exit("--out needs a path"));
-            }
+            "--out" => opts.out = args.value("--out"),
             "--no-write" => opts.write = false,
-            "--journal" => {
-                opts.journal = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage_exit("--journal needs a path")),
-                );
-            }
+            "--journal" => opts.journal = Some(args.value("--journal")),
             "--resume" => opts.resume = true,
-            "--die-after-trials" => {
-                let n = args
-                    .next()
-                    .unwrap_or_else(|| usage_exit("--die-after-trials needs a count"));
-                opts.die_after_trials = Some(
-                    n.parse()
-                        .unwrap_or_else(|_| usage_exit("--die-after-trials needs a number")),
-                );
-            }
-            other => usage_exit(&format!("unknown argument '{other}'")),
+            "--die-after-trials" => opts.die_after_trials = Some(args.value("--die-after-trials")),
+            other => args.fail(&format!("unknown argument '{other}'")),
         }
     }
     if opts.smoke && opts.full {
-        usage_exit("--smoke and --full are mutually exclusive");
+        args.fail("--smoke and --full are mutually exclusive");
     }
     if opts.journal.is_none() && (opts.resume || opts.die_after_trials.is_some()) {
-        usage_exit("--resume and --die-after-trials require --journal");
+        args.fail("--resume and --die-after-trials require --journal");
     }
     opts
 }
@@ -127,15 +114,6 @@ fn parse_args() -> Options {
 fn journal_exit(e: &SilcFmError) -> ! {
     eprintln!("slo: {e}");
     std::process::exit(4);
-}
-
-fn usage_exit(msg: &str) -> ! {
-    eprintln!("{msg}");
-    eprintln!(
-        "usage: slo [--smoke | --full] [--out PATH] [--no-write] \
-         [--journal PATH [--resume] [--die-after-trials N]]"
-    );
-    std::process::exit(2);
 }
 
 /// The schemes the serving table compares: SILC-FM against the three
@@ -403,8 +381,8 @@ fn main() {
             live_done += 1;
             if opts.die_after_trials == Some(live_done) {
                 // Simulate a crash mid-append: leave a torn (newline-less)
-                // record on the journal tail and die with the chaos
-                // harness's crash exit code.
+                // record on the journal tail and die with the crash exit
+                // code `chaos --die-after-jobs` uses too.
                 let path = opts.journal.as_ref().expect("checked in parse_args");
                 use std::io::Write as _;
                 let mut f = std::fs::OpenOptions::new()

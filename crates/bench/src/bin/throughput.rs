@@ -46,7 +46,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use silcfm_bench::trajectory::{self, Row, BAND};
-use silcfm_bench::{lineup, write_artifact};
+use silcfm_bench::{lineup, write_artifact, Args};
 use silcfm_sim::experiment::space_for;
 use silcfm_sim::{
     run_grid, run_grid_serial, run_spec, ExperimentGrid, RunParams, RunSpec, SchemeKind, Tier,
@@ -99,32 +99,24 @@ fn parse_args() -> Options {
         check: false,
         label: None,
     };
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::from_env(
+        "usage: throughput [--budget N] [--repeats N] [--out PATH] \
+         [--no-write] [--skip-grid] [--check] [--label S]",
+    );
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--budget" => {
-                let v = args.next().expect("--budget needs a value");
-                opts.budget = v.parse().expect("--budget must be an integer");
-            }
-            "--repeats" => {
-                let v = args.next().expect("--repeats needs a value");
-                opts.repeats = v.parse().expect("--repeats must be an integer");
-                assert!(opts.repeats > 0, "--repeats must be positive");
-            }
-            "--out" => opts.out = args.next().expect("--out needs a path"),
+            "--budget" => opts.budget = args.value("--budget"),
+            "--repeats" => opts.repeats = args.value("--repeats"),
+            "--out" => opts.out = args.value("--out"),
             "--no-write" => opts.write = false,
             "--skip-grid" => opts.grid = false,
             "--check" => opts.check = true,
-            "--label" => opts.label = Some(args.next().expect("--label needs a value")),
-            other => {
-                eprintln!("unknown argument '{other}'");
-                eprintln!(
-                    "usage: throughput [--budget N] [--repeats N] [--out PATH] \
-                     [--no-write] [--skip-grid] [--check] [--label S]"
-                );
-                std::process::exit(2);
-            }
+            "--label" => opts.label = Some(args.value("--label")),
+            other => args.fail(&format!("unknown argument '{other}'")),
         }
+    }
+    if opts.repeats == 0 {
+        args.fail("--repeats must be positive");
     }
     opts
 }

@@ -28,7 +28,7 @@
 //!                     first are exact at any N; the exporters consume the
 //!                     sampled ring unchanged.
 
-use silcfm_bench::{lineup, write_artifact};
+use silcfm_bench::{lineup, write_artifact, Args};
 use silcfm_obs::export;
 use silcfm_sim::{run_spec, RunParams, RunSpec, Tier, TraceParams};
 use silcfm_trace::profiles;
@@ -47,15 +47,6 @@ struct Options {
     sampling: u64,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: trace_capture [--workload NAME] [--scheme LABEL] [--trace PATH] \
-         [--metrics-out PATH] [--summary] [--smoke] [--epoch N] [--capacity N] \
-         [--sampling N]"
-    );
-    std::process::exit(2);
-}
-
 fn parse_args() -> Options {
     let defaults = TraceParams::default_capture();
     let mut opts = Options {
@@ -69,39 +60,30 @@ fn parse_args() -> Options {
         capacity: defaults.events_capacity,
         sampling: 1,
     };
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::from_env(
+        "usage: trace_capture [--workload NAME] [--scheme LABEL] [--trace PATH] \
+         [--metrics-out PATH] [--summary] [--smoke] [--epoch N] [--capacity N] \
+         [--sampling N]",
+    );
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--workload" => opts.workload = args.next().unwrap_or_else(|| usage()),
-            "--scheme" => opts.scheme = args.next().unwrap_or_else(|| usage()),
-            "--trace" => opts.trace = Some(args.next().unwrap_or_else(|| usage())),
-            "--metrics-out" => opts.metrics_out = Some(args.next().unwrap_or_else(|| usage())),
+            "--workload" => opts.workload = args.value("--workload"),
+            "--scheme" => opts.scheme = args.value("--scheme"),
+            "--trace" => opts.trace = Some(args.value("--trace")),
+            "--metrics-out" => opts.metrics_out = Some(args.value("--metrics-out")),
             "--summary" => opts.summary = true,
             "--smoke" => opts.smoke = true,
-            "--epoch" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                opts.epoch = v.parse().expect("--epoch must be an integer");
-                assert!(opts.epoch > 0, "--epoch must be positive");
-            }
-            "--capacity" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                opts.capacity = v.parse().expect("--capacity must be an integer");
-                assert!(opts.capacity > 0, "--capacity must be positive");
-            }
-            "--sampling" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                let period: u64 = v.parse().expect("--sampling must be an integer");
-                assert!(
-                    period.is_power_of_two(),
-                    "--sampling must be a power of two"
-                );
-                opts.sampling = period;
-            }
-            other => {
-                eprintln!("unknown argument '{other}'");
-                usage();
-            }
+            "--epoch" => opts.epoch = args.value("--epoch"),
+            "--capacity" => opts.capacity = args.value("--capacity"),
+            "--sampling" => opts.sampling = args.value("--sampling"),
+            other => args.fail(&format!("unknown argument '{other}'")),
         }
+    }
+    if opts.epoch == 0 || opts.capacity == 0 {
+        args.fail("--epoch and --capacity must be positive");
+    }
+    if !opts.sampling.is_power_of_two() {
+        args.fail("--sampling must be a power of two");
     }
     opts
 }

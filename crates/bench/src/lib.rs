@@ -10,9 +10,12 @@
 //! * optional section names (`fig7_comparison`, `ablation_bypass`, …) to
 //!   print only those sections.
 //!
-//! The other binaries are the timing, latency, serving and fault planes.
-//! See `DESIGN.md` §4 for the experiment index and `EXPERIMENTS.md` for
-//! recorded paper-vs-measured results.
+//! The other binaries are `throughput` (timing and the perf-regression
+//! gate), `latency`, `slo` (the serving plane), `trace_capture`, and
+//! `chaos`, the kill/resume driver of the journaled grid. All of them parse
+//! their command lines through [`Args`]. See `DESIGN.md` §4 for the
+//! experiment index and `EXPERIMENTS.md` for recorded paper-vs-measured
+//! results.
 
 pub mod paper;
 pub mod report;
@@ -26,6 +29,47 @@ pub fn lineup() -> Vec<SchemeKind> {
     let mut kinds = vec![SchemeKind::NoNm];
     kinds.extend(SchemeKind::fig7_lineup());
     kinds
+}
+
+/// A binary's command-line arguments, minus the program name, paired with
+/// its usage line: every malformed command line is answered with a message
+/// and that line on stderr and exit code 2, never a panic.
+pub struct Args {
+    args: std::env::Args,
+    usage: &'static str,
+}
+
+impl Args {
+    /// The process's arguments, answered on error with `usage`.
+    pub fn from_env(usage: &'static str) -> Self {
+        let mut args = std::env::args();
+        args.next();
+        Self { args, usage }
+    }
+
+    /// Parses the value that follows `flag`; a missing or malformed value
+    /// is a usage error.
+    pub fn value<T: std::str::FromStr>(&mut self, flag: &str) -> T {
+        let Some(v) = self.args.next() else {
+            self.fail(&format!("{flag} needs a value"));
+        };
+        v.parse()
+            .unwrap_or_else(|_| self.fail(&format!("{flag}: bad value '{v}'")))
+    }
+
+    /// Prints `msg` and the usage line on stderr and exits 2.
+    pub fn fail(&self, msg: &str) -> ! {
+        eprintln!("{msg}\n{}", self.usage);
+        std::process::exit(2);
+    }
+}
+
+impl Iterator for Args {
+    type Item = String;
+
+    fn next(&mut self) -> Option<String> {
+        self.args.next()
+    }
 }
 
 /// Writes an output file, creating its directory first.

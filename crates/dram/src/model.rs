@@ -229,7 +229,7 @@ impl<T: Tracer> DramModel<T> {
     }
 
     /// Health of channel `ch`, or `None` for a channel the device lacks
-    /// (diagnostics and the chaos harness).
+    /// (diagnostics and tests).
     pub fn channel_health(&self, ch: u32) -> Option<ChannelHealth> {
         self.channels.get(ch as usize).map(Channel::health)
     }

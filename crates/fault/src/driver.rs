@@ -1,5 +1,5 @@
 //! The run-time side of the fault plane: the delivery cursor and the
-//! effect ledger the chaos harness audits.
+//! effect ledger the property tests audit.
 
 use silcfm_types::fault::{
     failover_disengage_threshold, failover_engage_threshold, FaultEffect, FaultKind,
@@ -61,7 +61,7 @@ impl FaultDriver {
 }
 
 /// The effect ledger: one increment per delivered fault, bucketed by
-/// [`FaultEffect`]. The chaos harness's core invariant is
+/// [`FaultEffect`]. The fault plane's core invariant is
 /// [`conserved`](FaultStats::conserved) — no delivered fault may vanish
 /// without an accounted outcome.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -114,7 +114,7 @@ impl FaultStats {
 /// schedule was delivered.
 ///
 /// This is schedule-only arithmetic — no controller state — which is what
-/// lets the chaos harness check the controller against an independent
+/// lets the property tests check the controller against an independent
 /// oracle.
 pub fn expected_failover_transitions(
     faults: &[ScheduledFault],

@@ -13,7 +13,7 @@
 //! At run time the schedule becomes a [`FaultDriver`] cursor the simulation
 //! loop polls (`pop_due`) before each demand access, and a [`FaultStats`]
 //! ledger that records the [`FaultEffect`](silcfm_types::fault::FaultEffect)
-//! of every delivery. The chaos harness asserts the ledger *conserves* —
+//! of every delivery. The property tests assert the ledger *conserves* —
 //! every injected fault is accounted as corrected, recovered, poisoned or
 //! masked — and that the controller's failover transitions match
 //! [`expected_failover_transitions`] computed from the schedule alone.

@@ -67,8 +67,8 @@ impl FaultRates {
         }
     }
 
-    /// A mild mixed workload of every fault class — the chaos smoke's
-    /// default: enough events to exercise all recovery paths without
+    /// A mild mixed workload of every fault class — the property tests'
+    /// gentle setting: enough events to exercise all recovery paths without
     /// drowning the run.
     pub fn gentle() -> Self {
         Self {

@@ -3,7 +3,7 @@
 //! Every request the load generator offers must end in exactly one
 //! disposition — completed within deadline, shed at admission, timed out,
 //! or failed after exhausting its retry budget. [`RequestLedger::conserved`]
-//! is the invariant the chaos harness checks on every run: a request that
+//! is the invariant the property tests check on every run: a request that
 //! vanishes (or is double-counted) means the serving plane lost track of
 //! work, which is precisely the bug class SLO accounting exists to rule
 //! out.

@@ -134,7 +134,7 @@ impl FailureTimeline {
     }
 
     /// Whether the window `[from, to]` overlaps a failed interval of
-    /// `device` (the chaos harness's NACK-attribution check).
+    /// `device` (the property tests' NACK-attribution check).
     pub fn overlaps_failure(&self, device: MemKind, from: u64, to: u64) -> bool {
         self.device(device)
             .iter()
@@ -219,8 +219,8 @@ pub fn classify_retry(
     }
 }
 
-/// A channel-NACKed request's audit record, kept for the chaos harness:
-/// its engine window and which devices NACKed it, so the harness can check
+/// A channel-NACKed request's audit record, kept for the property tests:
+/// its engine window and which devices NACKed it, so a test can check
 /// every NACK overlaps a schedule-derived failure interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NackedRequest {
@@ -288,7 +288,7 @@ pub struct ServeRunStats {
     pub latency: QuantileSketch,
     /// The `obs.slo.*` per-epoch series.
     pub series: EpochSampler,
-    /// Every channel-NACKed request, for the chaos harness.
+    /// Every channel-NACKed request, for the NACK-attribution audit.
     pub nacked: Vec<NackedRequest>,
     /// Per-repair recovery: `(repair cycle, cycles until the end of the
     /// first SLO-compliant epoch at or after it)`. `None` when no later

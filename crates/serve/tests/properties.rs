@@ -3,10 +3,11 @@
 //! schedules, the retry ladder's budget/deadline bounds, and AIMD
 //! convergence onto randomized capacity cliffs.
 
-use silcfm_fault::FaultRates;
+use silcfm_fault::{expected_failover_transitions, FaultRates, FaultSchedule};
 use silcfm_serve::{
     classify_retry, run_serve, Aimd, AimdParams, Disposition, FailureTimeline, ServeParams,
 };
+use silcfm_sim::experiment::space_for;
 use silcfm_sim::{FaultParams, RunParams, SchemeKind, ShardParams};
 use silcfm_trace::{arrivals, profiles};
 use silcfm_types::fault::{ChannelFault, FaultKind, ScheduledFault};
@@ -103,14 +104,30 @@ fn request_plane_digest_is_thread_invariant() {
     }
 }
 
+/// Slack around a NACKed request's service window when pinning it to a
+/// channel-failure interval: the engine sees a failure through the memory
+/// pipeline, so the NACK can trail the fault's timestamp by a bounded
+/// service latency.
+const NACK_WINDOW_MARGIN: u64 = 4_096;
+
 /// `offered = completed + shed + timed_out + failed` on every run, for
 /// randomized fault schedules, rates and arrival shapes — along with the
-/// fault plane's own effect-conservation ledger.
+/// fault plane's own effect-conservation ledger. Each run is also checked
+/// against its schedule regenerated from the fault seed: the delivered
+/// faults are a prefix of it, the controller's failover transitions are
+/// the ones `expected_failover_transitions` derives from that prefix,
+/// and every NACKed request's service window overlaps a failure of the
+/// device it names. A missed SLO must show in the ledger or the p99.
 #[test]
 fn ledger_conserves_under_random_fault_schedules() {
     let mut rng = Xoshiro256StarStar::seed_from_u64(SplitMix64::new(2017).split(0x0510));
     let profiles_pool = ["milc", "lib", "mcf"];
     let arrivals_pool = ["poisson", "bursty", "diurnal"];
+    let scheme = SchemeKind::silcfm();
+    let SchemeKind::SilcFm(silcfm) = scheme else {
+        unreachable!()
+    };
+    let (cfg, params, serve) = (SystemConfig::small(), RunParams::smoke(), serve_params());
     for round in 0..6u64 {
         let workload = profiles_pool[rng.gen_range(0..profiles_pool.len())];
         let arrival = arrivals_pool[rng.gen_range(0..arrivals_pool.len())];
@@ -124,25 +141,77 @@ fn ledger_conserves_under_random_fault_schedules() {
                 FaultRates::harsh()
             },
         };
-        let r = run_once(
-            SchemeKind::silcfm(),
-            workload,
-            arrival,
-            rate,
-            1,
-            Some(&faults),
-        );
+        let r = run_once(scheme, workload, arrival, rate, 1, Some(&faults));
+        let tag = format!("round {round} ({workload}/{arrival} rate={rate})");
         assert!(
             r.stats.ledger.conserved(),
-            "round {round} ({workload}/{arrival} rate={rate}): ledger leaks: {:?}",
+            "{tag}: ledger leaks: {:?}",
             r.stats.ledger
         );
         assert!(
             r.fault_stats.conserved(),
-            "round {round}: effect ledger leaks: {:?}",
+            "{tag}: effect ledger leaks: {:?}",
             r.fault_stats
         );
-        assert!(r.stats.ledger.offered > 0, "round {round} offered nothing");
+        assert!(r.stats.ledger.offered > 0, "{tag} offered nothing");
+
+        let profile = profiles::by_name(workload).unwrap();
+        let space = space_for(
+            &profiles::scaled(profile, params.footprint_scale),
+            &cfg,
+            &params,
+        );
+        let topo = FaultParams::topology_for(&scheme, space);
+        let schedule = FaultSchedule::generate(
+            faults.fault_seed,
+            faults.horizon_cycles,
+            &faults.rates,
+            &topo,
+        )
+        .unwrap();
+        let delivered = r.faults_delivered;
+        assert!(delivered > 0, "{tag}: no faults delivered");
+        assert!(
+            delivered <= schedule.len(),
+            "{tag}: {delivered} delivered > {} scheduled",
+            schedule.len()
+        );
+        let oracle =
+            expected_failover_transitions(&schedule.faults()[..delivered], silcfm.associativity);
+        let transitions = r
+            .scheme_stats
+            .details
+            .iter()
+            .find(|(k, _)| *k == "failover_transitions")
+            .map_or(0, |(_, v)| *v as usize);
+        assert_eq!(transitions, oracle.len(), "{tag}: failover transitions");
+
+        let timeline = FailureTimeline::from_faults(schedule.faults());
+        for n in &r.stats.nacked {
+            let from = n.first_issue.saturating_sub(NACK_WINDOW_MARGIN);
+            let to = n.completion.saturating_add(NACK_WINDOW_MARGIN);
+            for (hit, device) in [(n.nm, MemKind::Near), (n.fm, MemKind::Far)] {
+                assert!(
+                    !hit || timeline.overlaps_failure(device, from, to),
+                    "{tag}: lane {} request@{}: {device:?} NACK window [{from}, {to}] \
+                     overlaps no failure",
+                    n.lane,
+                    n.arrival
+                );
+            }
+        }
+
+        if !r.slo_met(&serve, 0.95) {
+            let l = &r.stats.ledger;
+            assert!(
+                l.shed > 0
+                    || l.timed_out > 0
+                    || l.failed > 0
+                    || r.stats.p99() > serve.slo_p99_cycles,
+                "{tag}: SLO missed with no ledger evidence ({l:?}, p99 {})",
+                r.stats.p99()
+            );
+        }
     }
 }
 

@@ -95,8 +95,8 @@ impl Lane {
 /// identical run loop — which is why sharded results are bit-identical to
 /// serial ones at any thread count.
 pub trait RecordFeed {
-    /// Returns lane `lane`'s next record. The run loop calls this once per
-    /// lane to prime the pipeline and then once per serviced access.
+    /// Returns lane `lane`'s next record. The run loop pulls only through
+    /// [`next_chunk`](Self::next_chunk), whose default calls this once.
     fn next(&mut self, lane: usize) -> TraceRecord;
 
     /// Appends up to `max` of lane `lane`'s next records to `buf` and

@@ -149,7 +149,7 @@ pub struct ScheduledFault {
 }
 
 /// What actually happened when a fault was applied: the recovery outcome
-/// the chaos harness checks conservation over.
+/// the fault ledger checks conservation over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultEffect {
     /// The fault was absorbed with no data impact (ECC correction, parity
@@ -179,7 +179,7 @@ impl FaultEffect {
 
 /// Degraded-way count at which the controller engages bypass-all failover:
 /// half the ways (rounded up), never less than one. Shared by the
-/// controller and the chaos harness so both sides honor one formula.
+/// controller and the failover oracle so both sides honor one formula.
 pub fn failover_engage_threshold(associativity: u32) -> u32 {
     associativity.div_ceil(2).max(1)
 }

@@ -69,6 +69,15 @@ fn migration_tally<'a>(ops: impl IntoIterator<Item = &'a MemOp>) -> (u64, u64, u
     (nm_r, nm_w, fm_r, fm_w)
 }
 
+/// A scheme's detail counter `key`, 0 when the scheme does not report it.
+fn detail(stats: &silc_fm::types::SchemeStats, key: &str) -> f64 {
+    stats
+        .details
+        .iter()
+        .find(|(k, _)| *k == key)
+        .map_or(0.0, |(_, v)| *v)
+}
+
 /// SILC-FM metadata invariants: an FM block is interleaved into at most one
 /// frame of its congruence set; locked-remap frames are fully resident;
 /// locked-native frames hold only native data; a set bit always has a tenant
@@ -454,14 +463,6 @@ fn controller_fault_effects_replay_and_conserve() {
     use silc_fm::types::fault::{FaultEffect, FaultKind, ScheduledFault};
     use silc_fm::types::{SchemeOutcome, SchemeStats};
 
-    fn detail(stats: &SchemeStats, key: &str) -> f64 {
-        stats
-            .details
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map_or(0.0, |(_, v)| *v)
-    }
-
     forall_cases("controller_fault_effects_replay_and_conserve", 64, |rng| {
         let topo = FaultTopology {
             nm_ways: 4,
@@ -835,16 +836,26 @@ fn sharded_runs_match_serial_bit_for_bit() {
 ///   armed;
 /// * fault ledgers do not depend on the tier and stay conserved, also after
 ///   merging two of them;
-/// * a fully traced, undropped stream tallies to the exact event counters,
-///   and the latency plane does not depend on the tier.
+/// * a fully traced stream drops nothing and tallies to the exact event
+///   counters, and the latency plane does not depend on the tier.
+///
+/// The harsh cells are also checked against the schedule regenerated from
+/// the fault seed alone: every harsh cell delivers a prefix of it, and the
+/// fully traced stream carries one `Poisoned` event per poisoned effect and
+/// exactly the `Failover` transitions `expected_failover_transitions`
+/// derives from the delivered prefix, the same stream again on a rerun. The
+/// stateless baselines (HMA, CAMEO) run the same faulted cell and must lose
+/// no data.
 #[test]
 fn tier_and_fault_cells_match_the_plain_run() {
-    use silc_fm::fault::{FaultRates, FaultStats};
+    use silc_fm::fault::{expected_failover_transitions, FaultRates, FaultSchedule, FaultStats};
     use silc_fm::obs::Unit;
+    use silc_fm::sim::experiment::space_for;
     use silc_fm::sim::{
         run, run_spec, FaultParams, RunParams, RunSpec, SchemeKind, Tier, TraceParams,
     };
-    use silc_fm::types::obs::EVENT_KINDS;
+    use silc_fm::trace::profiles;
+    use silc_fm::types::obs::{Event, EVENT_KINDS};
     use silc_fm::types::{FxHasher, SystemConfig};
     use std::hash::Hasher as _;
 
@@ -855,16 +866,21 @@ fn tier_and_fault_cells_match_the_plain_run() {
     }
 
     forall_cases("tier_and_fault_cells_match_the_plain_run", 4, |rng| {
-        let profile = silc_fm::trace::profiles::by_name("milc").unwrap();
+        let profile = profiles::by_name("milc").unwrap();
         let scheme = SchemeKind::silcfm();
+        let SchemeKind::SilcFm(silcfm) = scheme else {
+            unreachable!()
+        };
         let cfg = SystemConfig::small();
         let params = RunParams {
             accesses_per_core: rng.gen_range(1_500u64..3_000),
             seed: rng.gen_range(0u64..1 << 48),
             ..RunParams::smoke()
         };
+        // Sized so a fully traced run drops nothing: the exact checks
+        // below need the complete stream.
         let trace = TraceParams {
-            events_capacity: 1 << 14,
+            events_capacity: 1 << 17,
             epoch_cycles: 50_000,
         };
         let harsh = FaultParams {
@@ -873,6 +889,17 @@ fn tier_and_fault_cells_match_the_plain_run() {
             rates: FaultRates::harsh(),
         };
         let plain = digest(&run(profile, scheme, &cfg, &params));
+
+        // The harsh schedule, regenerated outside the run from its seed.
+        let space = space_for(
+            &profiles::scaled(profile, params.footprint_scale),
+            &cfg,
+            &params,
+        );
+        let topo = FaultParams::topology_for(&scheme, space);
+        let schedule =
+            FaultSchedule::generate(harsh.fault_seed, harsh.horizon_cycles, &harsh.rates, &topo)
+                .unwrap();
 
         for faults in [None, Some(harsh)] {
             let mut want = faults.is_none().then_some(plain);
@@ -905,8 +932,16 @@ fn tier_and_fault_cells_match_the_plain_run() {
                 merged.merge(&cell.faults);
                 assert!(merged.conserved(), "merged ledgers must not leak effects");
                 assert_eq!(merged.injected, 2 * cell.faults.injected);
+                let delivered = cell.faults.injected as usize;
                 if faults.is_none() {
                     assert_eq!(cell.faults, FaultStats::default(), "{label}");
+                } else {
+                    assert!(delivered > 0, "{label}: harsh cell delivered no faults");
+                    assert!(
+                        delivered <= schedule.len(),
+                        "{label}: {delivered} delivered > {} scheduled",
+                        schedule.len()
+                    );
                 }
 
                 match &cell.obs {
@@ -917,12 +952,52 @@ fn tier_and_fault_cells_match_the_plain_run() {
                         report.latency.encode(&mut lat);
                         // Full tracing keeps every controller event, so a
                         // complete stream tallies to the exact counters.
-                        if tier == (Tier::Sampled { period: 1 }) && report.dropped == 0 {
+                        if tier == (Tier::Sampled { period: 1 }) {
+                            assert_eq!(report.dropped, 0, "{label}: ring too small");
                             let mut tally = [0u64; EVENT_KINDS];
                             for e in report.events.iter().filter(|e| e.unit == Unit::Controller) {
                                 tally[e.event.kind_index()] += 1;
                             }
                             assert_eq!(tally, cell.counters, "{label}: counters != trace");
+                        }
+                        if tier == (Tier::Sampled { period: 1 }) && faults.is_some() {
+                            let poisoned = report
+                                .events
+                                .iter()
+                                .filter(|e| matches!(e.event, Event::Poisoned { .. }))
+                                .count() as u64;
+                            assert_eq!(poisoned, cell.faults.poisoned, "{label}: poisoned events");
+                            assert_eq!(
+                                detail(&cell.result.scheme_stats, "fault_poisoned") as u64,
+                                cell.faults.poisoned,
+                                "{label}: controller's poisoned counter"
+                            );
+                            let oracle: Vec<bool> = expected_failover_transitions(
+                                &schedule.faults()[..delivered],
+                                silcfm.associativity,
+                            )
+                            .into_iter()
+                            .map(|(_, engaged)| engaged)
+                            .collect();
+                            let seen: Vec<bool> = report
+                                .events
+                                .iter()
+                                .filter_map(|e| match e.event {
+                                    Event::Failover { engaged } => Some(engaged),
+                                    _ => None,
+                                })
+                                .collect();
+                            assert_eq!(seen, oracle, "{label}: failover transitions");
+                            assert_eq!(
+                                detail(&cell.result.scheme_stats, "failover_transitions") as usize,
+                                oracle.len(),
+                                "{label}: controller's transition counter"
+                            );
+                            let replay = run_spec(profile, scheme, &cfg, &params, &spec).unwrap();
+                            assert!(
+                                replay.obs.is_some_and(|r| r.events == report.events),
+                                "{label}: trace stream differs on replay"
+                            );
                         }
                         assert_eq!(
                             *latency.get_or_insert_with(|| lat.clone()),
@@ -932,6 +1007,24 @@ fn tier_and_fault_cells_match_the_plain_run() {
                     }
                 }
             }
+        }
+
+        // Stateless baselines hold no interleaved data, so the same faults
+        // may cost them nothing.
+        for baseline in [SchemeKind::Hma, SchemeKind::Cameo] {
+            let spec = RunSpec {
+                faults: Some(harsh),
+                ..RunSpec::default()
+            };
+            let out = run_spec(profile, baseline, &cfg, &params, &spec).unwrap();
+            let label = baseline.label();
+            assert!(out.faults.injected > 0, "{label}: no faults delivered");
+            assert!(out.faults.conserved(), "{label}: {:?}", out.faults);
+            assert_eq!(
+                out.faults.poisoned, 0,
+                "{label} lost data: {:?}",
+                out.faults
+            );
         }
     });
 }
