@@ -1,4 +1,4 @@
-//! Per-channel state: banks, shared data bus, and read/write queues.
+//! Per-channel state: banks, shared data bus, and the read queue.
 
 use std::collections::VecDeque;
 
@@ -29,7 +29,22 @@ pub enum ChannelHealth {
 }
 
 /// One DRAM channel: a set of banks behind a shared command/data bus, with
-/// finite read and write queues providing back-pressure.
+/// a finite read queue providing back-pressure.
+///
+/// Reads go through [`access`](Self::access): read-queue admission, the
+/// bank's row-buffer timing, then the bus. Writes and streams are bus-only:
+/// real controllers buffer them and drain them in row-sorted batches, so
+/// they hold the data bus for their burst without touching bank state. The
+/// device model checks each such beat's arrival against the channel's
+/// health (`arrive`) and holds the bus for it (`occupy`).
+///
+/// There is no write queue here. Its admission cannot move a bus-only
+/// completion (the inertness lemma): every queued write completion was a
+/// `bus_free_at` when it was pushed, and `bus_free_at` never falls, so a
+/// full queue's wait `admitted <= bus_free_at` and the beat starts at
+/// `max(arrival, bus_free_at)` either way. The queue is therefore
+/// observability state only, and traced device models keep it
+/// ([`crate::DramModel`]).
 ///
 /// All times are memory cycles.
 #[derive(Debug, Clone)]
@@ -37,9 +52,7 @@ pub struct Channel {
     banks: Vec<Bank>,
     bus_free_at: u64,
     read_inflight: VecDeque<u64>,
-    write_inflight: VecDeque<u64>,
     read_cap: usize,
-    write_cap: usize,
     /// Total memory cycles the data bus has been held (for occupancy
     /// metrics; the observability layer samples deltas of this).
     busy_cycles: u64,
@@ -48,7 +61,7 @@ pub struct Channel {
     health: ChannelHealth,
 }
 
-/// Timing result of a channel access.
+/// Timing result of a channel read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChannelAccess {
     /// Memory-cycle timestamp at which the transfer finishes.
@@ -63,48 +76,93 @@ pub struct ChannelAccess {
     pub stalled: bool,
 }
 
+/// When a beat arriving at a channel may start, per [`Channel::arrive`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Arrival {
+    /// The channel serves the beat from this memory cycle: the arrival
+    /// itself, or the end of a transient stall (`stalled`).
+    Ready {
+        /// Earliest memory cycle the beat may start.
+        from: u64,
+        /// The arrival was held to a stall horizon.
+        stalled: bool,
+    },
+    /// The channel is hard-failed: the beat bounces at `completion`
+    /// without touching bus, banks or queues.
+    Nacked {
+        /// Memory cycle at which the NACK returns.
+        completion: u64,
+    },
+}
+
 impl Channel {
-    /// Creates a channel with the bank count and queue depths of `cfg`.
+    /// Creates a channel with the bank count and read-queue depth of `cfg`.
     pub fn new(cfg: &DramConfig) -> Self {
         Self {
             banks: vec![Bank::new(); (cfg.ranks * cfg.banks) as usize],
             bus_free_at: 0,
             read_inflight: VecDeque::new(),
-            write_inflight: VecDeque::new(),
             read_cap: cfg.read_queue as usize,
-            write_cap: cfg.write_queue as usize,
             busy_cycles: 0,
             health: ChannelHealth::Healthy,
         }
     }
 
-    /// Performs one transfer of `burst` bus cycles to `loc`, arriving at
+    /// Applies the channel's health to a beat arriving at memory-cycle
+    /// `at`: a stall whose window has passed heals here.
+    pub(crate) fn arrive(&mut self, at: u64, cfg: &DramConfig) -> Arrival {
+        match self.health {
+            ChannelHealth::Healthy => Arrival::Ready {
+                from: at,
+                stalled: false,
+            },
+            ChannelHealth::Stalled { until } => {
+                if at >= until {
+                    // The stall window has passed: self-heal.
+                    self.health = ChannelHealth::Healthy;
+                    Arrival::Ready {
+                        from: at,
+                        stalled: false,
+                    }
+                } else {
+                    Arrival::Ready {
+                        from: until,
+                        stalled: true,
+                    }
+                }
+            }
+            // NACK: the access bounces after a fixed penalty (roughly a
+            // worst-case bank turnaround). The retry goes elsewhere or waits
+            // for repair.
+            ChannelHealth::Failed => Arrival::Nacked {
+                completion: at + 2 * cfg.timings.row_conflict_latency(),
+            },
+        }
+    }
+
+    /// Holds the data bus for `burst` cycles from `from` or from when it
+    /// frees, whichever is later, and returns the completion.
+    pub(crate) fn occupy(&mut self, from: u64, burst: u64) -> u64 {
+        let completion = from.max(self.bus_free_at) + burst;
+        self.bus_free_at = completion;
+        self.busy_cycles += burst;
+        completion
+    }
+
+    /// Performs one read of `burst` bus cycles at `loc`, arriving at
     /// memory-cycle `at`.
     pub fn access(
         &mut self,
         at: u64,
         loc: Location,
         burst: u64,
-        is_write: bool,
         cfg: &DramConfig,
     ) -> ChannelAccess {
-        let (at, stalled) = match self.health {
-            ChannelHealth::Healthy => (at, false),
-            ChannelHealth::Stalled { until } => {
-                if at >= until {
-                    // The stall window has passed: self-heal.
-                    self.health = ChannelHealth::Healthy;
-                    (at, false)
-                } else {
-                    (until, true)
-                }
-            }
-            ChannelHealth::Failed => {
-                // NACK: the access bounces after a fixed penalty (roughly a
-                // worst-case bank turnaround) without touching bus, banks or
-                // queues. The retry goes elsewhere or waits for repair.
+        let (at, stalled) = match self.arrive(at, cfg) {
+            Arrival::Ready { from, stalled } => (from, stalled),
+            Arrival::Nacked { completion } => {
                 return ChannelAccess {
-                    completion: at + 2 * cfg.timings.row_conflict_latency(),
+                    completion,
                     outcome: RowOutcome::Conflict,
                     burst: 0,
                     nacked: true,
@@ -112,34 +170,19 @@ impl Channel {
                 };
             }
         };
-        if is_write {
-            // Writes are buffered and drained in row-sorted batches by real
-            // controllers (write-combining), so they are modelled as pure
-            // bus-bandwidth consumers: they occupy the data bus for their
-            // burst but do not perturb per-bank row-buffer state, and they
-            // apply back-pressure only through the finite write queue.
-            let admitted = Self::admit(&mut self.write_inflight, self.write_cap, at);
-            let data_start = admitted.max(self.bus_free_at);
-            let completion = data_start + burst;
-            self.bus_free_at = completion;
-            self.busy_cycles += burst;
-            self.write_inflight.push_back(completion);
+        let admitted = admit(&mut self.read_inflight, self.read_cap, at);
+        let Some(bank) = self.banks.get_mut(loc.bank_in_channel(cfg)) else {
+            debug_assert!(false, "mapper yields bank < ranks * banks");
             return ChannelAccess {
-                completion,
+                completion: admitted,
                 outcome: RowOutcome::Hit,
-                burst,
+                burst: 0,
                 nacked: false,
                 stalled,
             };
-        }
-
-        let admitted = Self::admit(&mut self.read_inflight, self.read_cap, at);
-        let bank = &mut self.banks[loc.bank_in_channel(cfg)];
+        };
         let (data_at, outcome) = bank.access(admitted, loc.row, &cfg.timings);
-        let data_start = data_at.max(self.bus_free_at);
-        let completion = data_start + burst;
-        self.bus_free_at = completion;
-        self.busy_cycles += burst;
+        let completion = self.occupy(data_at, burst);
         self.read_inflight.push_back(completion);
         ChannelAccess {
             completion,
@@ -175,31 +218,35 @@ impl Channel {
         self.busy_cycles
     }
 
-    /// Entries still outstanding (completion after `now`) in the read and
-    /// write queues, for queue-depth sampling.
-    pub fn queue_depths(&self, now: u64) -> (usize, usize) {
-        let depth = |q: &VecDeque<u64>| q.iter().filter(|&&t| t > now).count();
-        (depth(&self.read_inflight), depth(&self.write_inflight))
+    /// Read-queue entries still outstanding (completion after `now`), for
+    /// queue-depth sampling.
+    pub fn read_depth(&self, now: u64) -> usize {
+        outstanding(&self.read_inflight, now)
     }
+}
 
-    /// Queue admission: drains completed entries and, if the queue is full,
-    /// stalls the arrival until a slot frees up. Completion times are pushed
-    /// in increasing order because the channel data bus serializes transfer
-    /// ends, so the front entries are always the oldest.
-    fn admit(queue: &mut VecDeque<u64>, cap: usize, at: u64) -> u64 {
-        while queue.front().is_some_and(|&t| t <= at) {
+/// Entries of `queue` whose completion lies after `now`.
+pub(crate) fn outstanding(queue: &VecDeque<u64>, now: u64) -> usize {
+    queue.iter().filter(|&&t| t > now).count()
+}
+
+/// Queue admission: drains completed entries and, if the queue is full,
+/// stalls the arrival until a slot frees up. Completion times are pushed in
+/// increasing order because the channel data bus serializes transfer ends,
+/// so the front entries are always the oldest.
+pub(crate) fn admit(queue: &mut VecDeque<u64>, cap: usize, at: u64) -> u64 {
+    while queue.front().is_some_and(|&t| t <= at) {
+        queue.pop_front();
+    }
+    let mut admitted = at;
+    if let Some(&wait) = queue.len().checked_sub(cap).and_then(|i| queue.get(i)) {
+        // Wait for the entry whose completion frees the needed slot.
+        admitted = wait;
+        while queue.front().is_some_and(|&t| t <= admitted) {
             queue.pop_front();
         }
-        let mut admitted = at;
-        if queue.len() >= cap {
-            // Wait for the entry whose completion frees the needed slot.
-            admitted = queue[queue.len() - cap];
-            while queue.front().is_some_and(|&t| t <= admitted) {
-                queue.pop_front();
-            }
-        }
-        admitted
     }
+    admitted
 }
 
 #[cfg(test)]
@@ -216,8 +263,8 @@ mod tests {
     fn bus_serializes_back_to_back_row_hits() {
         let (mut ch, cfg, m) = setup();
         let loc = m.decode(0);
-        let a = ch.access(0, loc, 4, false, &cfg);
-        let b = ch.access(0, loc, 4, false, &cfg);
+        let a = ch.access(0, loc, 4, &cfg);
+        let b = ch.access(0, loc, 4, &cfg);
         assert_eq!(a.outcome, RowOutcome::Miss);
         assert_eq!(b.outcome, RowOutcome::Hit);
         // Second transfer cannot start before the first releases the bus.
@@ -232,8 +279,8 @@ mod tests {
         let l0 = m.decode(0);
         let l1 = m.decode(stride);
         assert_ne!(l0.bank, l1.bank);
-        let a = ch.access(0, l0, 4, false, &cfg);
-        let b = ch.access(0, l1, 4, false, &cfg);
+        let a = ch.access(0, l0, 4, &cfg);
+        let b = ch.access(0, l1, 4, &cfg);
         // Bank 1's activate overlaps bank 0's access; only the bus serializes,
         // so the second completes soon after the first.
         assert!(b.completion <= a.completion.max(b.burst + cfg.timings.row_miss_latency()) + 4);
@@ -246,7 +293,7 @@ mod tests {
         // Saturate the 32-entry read queue with same-cycle arrivals.
         let mut completions = Vec::new();
         for _ in 0..33 {
-            completions.push(ch.access(0, loc, 4, false, &cfg).completion);
+            completions.push(ch.access(0, loc, 4, &cfg).completion);
         }
         // The 33rd must have been admitted no earlier than the 1st completion.
         assert!(completions[32] > completions[0]);
@@ -254,21 +301,25 @@ mod tests {
     }
 
     #[test]
-    fn writes_use_separate_queue() {
+    fn bus_only_beats_wait_only_for_the_bus() {
         let (mut ch, cfg, m) = setup();
         let loc = m.decode(0);
         for _ in 0..32 {
-            ch.access(0, loc, 4, false, &cfg);
+            ch.access(0, loc, 4, &cfg);
         }
-        // A write is not blocked by the full read queue (only by the bus).
-        let w = ch.access(0, loc, 4, true, &cfg);
-        assert!(w.completion > 0);
+        // A bus-only beat is not blocked by the full read queue, only by
+        // the bus the reads hold.
+        let busy = ch.bus_free_at();
+        assert_eq!(ch.occupy(0, 4), busy + 4);
+        // On an idle bus it starts at its arrival.
+        let (mut idle, _, _) = setup();
+        assert_eq!(idle.occupy(100, 4), 104);
     }
 
     #[test]
     fn admit_drains_completed() {
         let mut q = VecDeque::from(vec![5u64, 10, 15]);
-        let admitted = Channel::admit(&mut q, 8, 12);
+        let admitted = admit(&mut q, 8, 12);
         assert_eq!(admitted, 12);
         assert_eq!(q.len(), 1); // only the 15 remains
     }
@@ -278,16 +329,16 @@ mod tests {
         let (mut ch, cfg, m) = setup();
         let loc = m.decode(0);
         ch.set_health(ChannelHealth::Failed);
-        let a = ch.access(100, loc, 4, false, &cfg);
+        let a = ch.access(100, loc, 4, &cfg);
         assert!(a.nacked);
         assert_eq!(a.burst, 0);
         assert_eq!(a.completion, 100 + 2 * cfg.timings.row_conflict_latency());
         assert_eq!(ch.busy_cycles(), 0);
         assert_eq!(ch.reads_in_flight(), 0);
         // Failure persists until an explicit repair.
-        assert!(ch.access(1_000_000, loc, 4, false, &cfg).nacked);
+        assert!(ch.access(1_000_000, loc, 4, &cfg).nacked);
         ch.set_health(ChannelHealth::Healthy);
-        assert!(!ch.access(1_000_001, loc, 4, false, &cfg).nacked);
+        assert!(!ch.access(1_000_001, loc, 4, &cfg).nacked);
     }
 
     #[test]
@@ -295,12 +346,12 @@ mod tests {
         let (mut ch, cfg, m) = setup();
         let loc = m.decode(0);
         ch.set_health(ChannelHealth::Stalled { until: 500 });
-        let a = ch.access(0, loc, 4, false, &cfg);
+        let a = ch.access(0, loc, 4, &cfg);
         assert!(a.stalled && !a.nacked);
         // Arrival was pushed to the end of the stall window.
         assert!(a.completion >= 500 + cfg.timings.row_miss_latency() + 4);
         // An arrival past the window heals the channel in place.
-        let b = ch.access(5_000, loc, 4, false, &cfg);
+        let b = ch.access(5_000, loc, 4, &cfg);
         assert!(!b.stalled);
         assert_eq!(ch.health(), ChannelHealth::Healthy);
     }
@@ -308,7 +359,7 @@ mod tests {
     #[test]
     fn admit_waits_when_full() {
         let mut q: VecDeque<u64> = (1..=4).map(|i| i * 10).collect();
-        let admitted = Channel::admit(&mut q, 4, 5);
+        let admitted = admit(&mut q, 4, 5);
         // Queue of cap 4 is full; must wait until the first (t=10) completes.
         assert_eq!(admitted, 10);
     }

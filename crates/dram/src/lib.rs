@@ -3,9 +3,11 @@
 //! This is the substrate that replaces Ramulator in the paper's setup. It is
 //! a *resource-reservation* model rather than a per-cycle finite-state
 //! machine: every bank tracks its open row and the time it next becomes
-//! ready, every channel tracks data-bus availability and read/write queue
+//! ready, every channel tracks data-bus availability and read-queue
 //! occupancy, and each transaction's completion time is computed analytically
-//! against those timelines. This preserves what the paper's evaluation
+//! against those timelines. Writes and streams are bus-only, and their write
+//! queue, which can never delay them, is kept only for tracing (see
+//! [`channel::Channel`]). This preserves what the paper's evaluation
 //! depends on — row-buffer locality, bank conflicts, queueing delay and the
 //! 4:1 NM:FM bandwidth ratio — while simulating tens of millions of requests
 //! per second of host time.

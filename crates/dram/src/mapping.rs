@@ -81,11 +81,21 @@ impl AddressMapper {
         }
     }
 
+    /// The channel of a device-local byte address: all a bus-only beat
+    /// needs, since it never reaches a bank.
+    pub(crate) const fn channel(&self, device_addr: u64) -> u32 {
+        let chunk = device_addr / CHANNEL_INTERLEAVE_BYTES;
+        (match self.shifts {
+            Some(_) => chunk & (self.channels - 1),
+            None => chunk % self.channels,
+        }) as u32
+    }
+
     /// Decodes a device-local byte address.
     pub fn decode(&self, device_addr: u64) -> Location {
+        let channel = self.channel(device_addr);
         if let Some(s) = self.shifts {
             let chunk = device_addr / CHANNEL_INTERLEAVE_BYTES;
-            let channel = chunk & (self.channels - 1);
             // Channel-local compressed byte address: drop the channel bits.
             let local = ((chunk >> s.channel) * CHANNEL_INTERLEAVE_BYTES)
                 + (device_addr % CHANNEL_INTERLEAVE_BYTES);
@@ -94,14 +104,13 @@ impl AddressMapper {
             let rank = (global_row >> s.bank) & (self.ranks - 1);
             let row = global_row >> (s.bank + s.rank);
             return Location {
-                channel: channel as u32,
+                channel,
                 rank: rank as u32,
                 bank: bank as u32,
                 row,
             };
         }
         let chunk = device_addr / CHANNEL_INTERLEAVE_BYTES;
-        let channel = chunk % self.channels;
         // Channel-local compressed byte address: drop the channel bits.
         let local = (chunk / self.channels) * CHANNEL_INTERLEAVE_BYTES
             + device_addr % CHANNEL_INTERLEAVE_BYTES;
@@ -110,7 +119,7 @@ impl AddressMapper {
         let rank = (global_row / self.banks) % self.ranks;
         let row = global_row / (self.banks * self.ranks);
         Location {
-            channel: channel as u32,
+            channel,
             rank: rank as u32,
             bank: bank as u32,
             row,

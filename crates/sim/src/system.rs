@@ -16,9 +16,10 @@ use silcfm_types::{
 use crate::metrics::TrafficTally;
 use crate::observe::RunObs;
 
-/// CPU cycles by which background (migration/prefetch) operations trail the
-/// demand access that caused them, modelling demand-first scheduling in the
-/// memory controller.
+/// CPU cycles by which a record's lagged operations trail its issue,
+/// modelling demand-first scheduling in the memory controller: the scheme's
+/// background (swap/migration/prefetch) ops, every op of its dirty-LLC
+/// writebacks, and scheme-fault recovery traffic.
 const BACKGROUND_LAG: u64 = 120;
 
 /// Aggregate outcome of [`System::run`].

@@ -63,6 +63,16 @@ echo "==> perfbench digests (serial jobs vs perfbench/golden.txt)"
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
   --print-digests | diff - perfbench/golden.txt
 
+# A held-out seed has no stored digests, so there every job's serial runs
+# must reproduce its 2-thread sharded reference run (perfbench's
+# cross-engine check; a mismatch exits non-zero). One short run per
+# workload, a few seconds in all.
+echo "==> perfbench cross-engine check (held-out seed 7)"
+for workload in silcfm-table3 base-table3 serve-mcf; do
+  cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 7 --seconds 1 | grep -E '^(job_fail_frac|FAIL|\{)'
+done
+
 # The paper's tables and figures come from one binary. Table II simulates
 # nothing, so printing it proves the binary renders in milliseconds.
 echo "==> paper (Table II)"
