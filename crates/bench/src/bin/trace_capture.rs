@@ -7,10 +7,12 @@
 //!
 //! * `--trace PATH` — Chrome trace-event JSON, loadable in
 //!   `chrome://tracing` or <https://ui.perfetto.dev> (timestamps are raw
-//!   simulation cycles);
+//!   simulation cycles). The written text is then validated with
+//!   [`export::check_chrome_trace`]: an `ok (N events across M tracks)`
+//!   line, or the violation on stderr and exit 1;
 //! * `--metrics-out PATH` — the per-epoch time series as CSV;
 //! * `--summary` — the human summary table on stdout (event counts per
-//!   unit, demand-latency histograms).
+//!   unit, per-class demand-latency percentiles).
 //!
 //! Everything is deterministic: the same seed produces byte-identical
 //! files. Options:
@@ -151,8 +153,18 @@ fn main() {
     );
 
     if let Some(path) = &opts.trace {
-        write_artifact(path, &export::chrome_trace(&report));
+        let trace = export::chrome_trace(&report);
+        write_artifact(path, &trace);
         println!("wrote {path}");
+        match export::check_chrome_trace(&trace) {
+            Ok((events, tracks)) => {
+                println!("{path}: ok ({events} events across {tracks} tracks)");
+            }
+            Err(e) => {
+                eprintln!("{path}: {e}");
+                std::process::exit(1);
+            }
+        }
     }
     if let Some(path) = &opts.metrics_out {
         write_artifact(path, &export::csv_series(&report));

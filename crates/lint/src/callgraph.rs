@@ -9,8 +9,9 @@
 //! 2. `self.field.m` → the field's declared base type (transparent
 //!    wrappers `Box`/`Option`/`Rc`/`Arc`, `&`, `dyn` already stripped by
 //!    the parser);
-//! 3. `x.m` where `x` is a typed parameter or a `let x: T` / `let x =
-//!    T::...` local → that type;
+//! 3. `x.m` where `x` is a typed parameter, a `let x: T` / `let x =
+//!    T::...` local, or an element bound by `[if] let Some(x) =
+//!    coll.get(…)` / `.get_mut(…)` → that type;
 //! 4. when the receiver type is a *trait* (trait object) or a generic
 //!    parameter with a trait bound → **dispatch**: edges to that method in
 //!    every impl of the trait plus its default body — this is what carries
@@ -243,7 +244,9 @@ impl<'a> BodyResolver<'a> {
         })
     }
 
-    /// Records `let [mut] x : T` and `let [mut] x = T::...` local types.
+    /// Records `let [mut] x : T` and `let [mut] x = T::...` local types,
+    /// and the element bound by `let Some(x) = coll.get(…)` (with or
+    /// without `else`; `if let` and `while let` share the `let`).
     fn scan_lets(&mut self) {
         let toks = self.toks();
         for i in self.body.clone() {
@@ -260,7 +263,11 @@ impl<'a> BodyResolver<'a> {
             if is_keyword(name) {
                 continue;
             }
-            if self.is_punct(j + 1, ':') && !self.is_punct(j + 2, ':') {
+            if name == "Some" && self.is_punct(j + 1, '(') {
+                if let Some((bound, elem)) = self.some_elem_binding(j + 2) {
+                    self.locals.insert(bound.to_string(), elem);
+                }
+            } else if self.is_punct(j + 1, ':') && !self.is_punct(j + 2, ':') {
                 // `let x: T = …`
                 let (ty, after) = base_type_at(toks, j + 2);
                 // Element type of a sequence container: `Vec<T>` /
@@ -291,6 +298,34 @@ impl<'a> BodyResolver<'a> {
                 }
             }
         }
+    }
+
+    /// For `Some(` ending just before `i`: the name bound by a
+    /// `[&][mut|ref] x ) = coll . get[_mut] (` pattern and the element type
+    /// of `coll`, which is `self.field`, `local.field` or a sequence local.
+    fn some_elem_binding(&self, mut i: usize) -> Option<(&'a str, String)> {
+        while self.is_punct(i, '&') || matches!(self.ident_at(i), Some("mut" | "ref")) {
+            i += 1;
+        }
+        let bound = self.ident_at(i).filter(|n| !is_keyword(n))?;
+        if !self.is_punct(i + 1, ')') || !self.is_punct(i + 2, '=') {
+            return None;
+        }
+        let head = self.ident_at(i + 3)?;
+        let (elem, dot) = match self.ident_at(i + 5) {
+            Some(field) if self.is_punct(i + 4, '.') && self.is_punct(i + 6, '.') => {
+                let Recv::Type(t) = self.owner_recv(head) else {
+                    return None;
+                };
+                let f = self.ws.types[t.0].fields.iter().find(|f| f.name == field)?;
+                (f.elem.clone(), i + 6)
+            }
+            _ => (self.elems.get(head)?.clone(), i + 4),
+        };
+        let accessor = self.is_punct(dot, '.')
+            && matches!(self.ident_at(dot + 1), Some("get" | "get_mut"))
+            && self.is_punct(dot + 2, '(');
+        (accessor && !elem.is_empty()).then_some((bound, elem))
     }
 
     /// Types loop variables from the element type of the iterated
@@ -586,25 +621,25 @@ impl<'a> BodyResolver<'a> {
         }
         segs.reverse();
         match segs.as_slice() {
-            ["self"] => self.self_recv(),
-            ["self", field] => match self.self_recv() {
+            // A bare uppercase head could be a unit struct/enum path; a
+            // lowercase one an untyped local.
+            [one] => self.owner_recv(one),
+            [head, field] => match self.owner_recv(head) {
                 Recv::Type(t) => self.field_recv(t, field),
                 _ => Recv::Unknown,
             },
-            [one] => match self.locals.get(*one) {
-                Some(ty) => self.recv_of_name(ty),
-                // An uppercase head could be a unit struct/enum path; a
-                // lowercase one an untyped local.
-                None => Recv::Unknown,
-            },
-            [one, field] => match self.locals.get(*one) {
-                Some(ty) => match self.recv_of_name(ty) {
-                    Recv::Type(t) => self.field_recv(t, field),
-                    _ => Recv::Unknown,
-                },
-                None => Recv::Unknown,
-            },
             _ => Recv::Unknown,
+        }
+    }
+
+    /// The type of a chain head: `self`, or a typed local.
+    fn owner_recv(&self, head: &str) -> Recv {
+        match head {
+            "self" => self.self_recv(),
+            local => self
+                .locals
+                .get(local)
+                .map_or(Recv::Unknown, |ty| self.recv_of_name(ty)),
         }
     }
 

@@ -45,12 +45,15 @@ pub struct FnSig {
 }
 
 /// One struct field: name and base type ident (wrappers such as `&`, `Box`,
-/// `Option`, `Vec`, `dyn`/`impl` stripped down to the innermost path head
-/// that could name a workspace type).
+/// `Option`, `dyn`/`impl` stripped down to the innermost path head that
+/// could name a workspace type).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Field {
     pub name: String,
     pub ty: String,
+    /// Element base type of a sequence field (`Vec<T>`, `VecDeque<T>`,
+    /// `[T; N]`, `Box<[T]>`), empty for any other type.
+    pub elem: String,
 }
 
 /// One `use` leaf: the local name it binds and the full path it names.
@@ -899,6 +902,30 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Element base type of the sequence type at `i`: `Vec<T>`,
+    /// `VecDeque<T>`, an array or slice `[T; N]` / `[T]`, optionally
+    /// behind `&` or `Box<…>`. Empty for any other type.
+    fn elem_type(&self, mut i: usize, end: usize) -> String {
+        while self.is_punct(i, '&')
+            || self.is_ident(i, "mut")
+            || self.tok(i).is_some_and(|t| t.kind == TokenKind::Lifetime)
+        {
+            i += 1;
+        }
+        if self.is_ident(i, "Box") && self.is_punct(i + 1, '<') {
+            i += 2;
+        }
+        if self.is_punct(i, '[') {
+            self.base_type(i + 1, end).0
+        } else if (self.is_ident(i, "Vec") || self.is_ident(i, "VecDeque"))
+            && self.is_punct(i + 1, '<')
+        {
+            self.base_type(i + 2, end).0
+        } else {
+            String::new()
+        }
+    }
+
     /// Parses `name: Type, …` struct fields in `[start, end)`.
     fn fields(&self, start: usize, end: usize) -> Vec<Field> {
         let mut out = Vec::new();
@@ -912,6 +939,7 @@ impl<'a> Parser<'a> {
                     out.push(Field {
                         name: name.to_string(),
                         ty,
+                        elem: self.elem_type(j + 2, end),
                     });
                 }
             }

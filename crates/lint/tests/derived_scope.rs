@@ -4,7 +4,7 @@
 //! constants and the legacy closure algorithm are copied here verbatim as
 //! a frozen baseline — the shipped linter no longer contains them.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::ops::Range;
 use std::path::Path;
@@ -187,8 +187,12 @@ const LEGACY_COLLISION_WAIVERS: &[(&str, &str, &str)] = &[
     ),
 ];
 
-#[test]
-fn derived_scope_covers_every_legacy_hot_fn() {
+/// `(logical path, fn name)` pairs, as `derived_hot_set` returns them.
+type HotSet = BTreeSet<(String, String)>;
+
+/// Every workspace source as `(logical path, text)`, and the derived hot
+/// set over them.
+fn workspace_hot_set() -> (Vec<(String, String)>, HotSet) {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .unwrap()
@@ -204,6 +208,12 @@ fn derived_scope_covers_every_legacy_hot_fn() {
     }
     let ws = Workspace::build(&sources, &crate_names);
     let derived = interproc::derived_hot_set(&ws);
+    (sources, derived)
+}
+
+#[test]
+fn derived_scope_covers_every_legacy_hot_fn() {
+    let (sources, derived) = workspace_hot_set();
 
     let mut missing: Vec<String> = Vec::new();
     let mut legacy_seen = 0usize;
@@ -257,4 +267,25 @@ fn derived_scope_covers_every_legacy_hot_fn() {
         legacy_seen,
         missing.join("\n")
     );
+}
+
+/// The DRAM read path reaches its channel and bank through receivers
+/// bound by `let Some(channel) = self.channels.get_mut(..) else` and
+/// `let Some(bank) = self.banks.get_mut(..) else`: both methods must be
+/// hot, so P1/A1 scan the per-beat timing code.
+#[test]
+fn derived_scope_reaches_the_dram_channel_and_bank() {
+    let (_, derived) = workspace_hot_set();
+    for (path, name) in [
+        ("crates/dram/src/model.rs", "read"),
+        ("crates/dram/src/channel.rs", "access"),
+        ("crates/dram/src/channel.rs", "arrive"),
+        ("crates/dram/src/channel.rs", "occupy"),
+        ("crates/dram/src/bank.rs", "access"),
+    ] {
+        assert!(
+            derived.contains(&(path.to_string(), name.to_string())),
+            "{path}: {name} is not in the derived hot set"
+        );
+    }
 }

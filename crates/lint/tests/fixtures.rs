@@ -104,6 +104,27 @@ fn a1_follows_loop_variables_bound_by_nested_tuple_patterns() {
 }
 
 #[test]
+fn p1_follows_receivers_bound_by_let_some_element_accessors() {
+    let (findings, suppressed) = lint_rust_source(HOT, include_str!("fixtures/p1_let_else_bad.rs"));
+    // `let Some(channel) = self.channels.get_mut(..) else` types `channel`
+    // as `Channel`, and `if let Some(bank) = self.banks.get_mut(..)` types
+    // `bank` as `Bank`; every `access` shares its name, so no unique-name
+    // fallback could have found them.
+    assert_eq!(spots(&findings, "P1"), vec![10, 18], "{findings:#?}");
+    assert_eq!(findings.len(), 2, "only P1 fires: {findings:#?}");
+    assert_eq!(suppressed, 0);
+    let bank = findings.iter().find(|f| f.line == 10).unwrap();
+    assert_eq!(bank.chain.len(), 3, "{:?}", bank.chain);
+    assert!(bank.chain[0].contains("Model::access"), "{:?}", bank.chain);
+    assert!(
+        bank.chain[1].contains("Channel::access"),
+        "{:?}",
+        bank.chain
+    );
+    assert!(bank.chain[2].contains("Bank::access"), "{:?}", bank.chain);
+}
+
+#[test]
 fn p1_and_a1_cover_the_soa_frame_table() {
     let (findings, suppressed) = lint_rust_source(
         "crates/core/src/frametable.rs",

@@ -1,9 +1,10 @@
-//! Exporters: Chrome trace-event JSON, CSV time series, human summary.
+//! Exporters: Chrome trace-event JSON, CSV time series, human summary —
+//! and [`check_chrome_trace`], the validator for the first.
 //!
-//! All three are deterministic functions of an [`ObsReport`]: fixed float
-//! precision, stable orderings, no wall-clock or environment input — so
-//! identical seeds yield byte-identical artifacts, which the golden tests
-//! pin across serial and parallel runs.
+//! The three exporters are deterministic functions of an [`ObsReport`]:
+//! fixed float precision, stable orderings, no wall-clock or environment
+//! input — so identical seeds yield byte-identical artifacts, which the
+//! golden tests pin across serial and parallel runs.
 
 use core::fmt::Write as _;
 use std::collections::BTreeMap;
@@ -11,7 +12,7 @@ use std::collections::BTreeMap;
 use silcfm_types::obs::Event;
 use silcfm_types::AccessClass;
 
-use crate::hist::LatencyHistogram;
+use crate::json::{self, Value};
 use crate::report::{ObsReport, TaggedEvent, Unit};
 use crate::sketch::QuantileSketch;
 use crate::table::{Align, TextTable};
@@ -167,19 +168,8 @@ pub fn csv_series(report: &ObsReport) -> String {
     out
 }
 
-fn histogram_row(label: &str, h: &LatencyHistogram) -> Vec<String> {
-    vec![
-        label.to_string(),
-        h.count().to_string(),
-        format!("{:.1}", h.mean()),
-        h.quantile_upper(0.5).to_string(),
-        h.quantile_upper(0.99).to_string(),
-        h.max().to_string(),
-    ]
-}
-
 /// Renders the human `--trace-summary` view: run totals, per-unit event
-/// counts, and the demand-latency histograms.
+/// counts, and the per-class demand-latency percentiles.
 pub fn summary(report: &ObsReport) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -211,19 +201,6 @@ pub fn summary(report: &ObsReport) -> String {
         out.push('\n');
         out.push_str(&t.render());
     }
-
-    let mut t = TextTable::new(&[
-        ("demand latency", Align::Left),
-        ("count", Align::Right),
-        ("mean", Align::Right),
-        ("p50<=", Align::Right),
-        ("p99<=", Align::Right),
-        ("max", Align::Right),
-    ]);
-    t.row(histogram_row("nm", &report.nm_latency));
-    t.row(histogram_row("fm", &report.fm_latency));
-    out.push('\n');
-    out.push_str(&t.render());
 
     // The percentile plane: per-class sketches plus the merged overall row.
     let mut t = TextTable::new(&[
@@ -259,6 +236,87 @@ fn sketch_row(label: &str, s: &QuantileSketch) -> Vec<String> {
     ]
 }
 
+/// One declared thread track of a Chrome trace under validation.
+struct Track {
+    tid: u32,
+    label: String,
+    events: u64,
+    last_ts: f64,
+}
+
+/// Validates Chrome trace-event JSON such as [`chrome_trace`] writes: the
+/// text must parse, hold a `traceEvents` array, declare at least one named
+/// thread track, place every non-metadata event on a declared track with
+/// a non-negative timestamp that never regresses within its track, and
+/// give every declared track at least one event.
+///
+/// Returns `(events, tracks)`: the non-metadata event count and the number
+/// of declared tracks. The error names the first violation found.
+pub fn check_chrome_trace(text: &str) -> Result<(u64, usize), String> {
+    let doc = json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
+    let events = doc
+        .get("traceEvents")
+        .and_then(Value::as_array)
+        .ok_or("no `traceEvents` array")?;
+
+    // Declared tracks: thread_name metadata records.
+    let mut tracks: Vec<Track> = Vec::new();
+    for e in events {
+        if e.get("name").and_then(Value::as_str) == Some("thread_name") {
+            let tid = e
+                .get("tid")
+                .and_then(Value::as_f64)
+                .ok_or("thread_name record without tid")? as u32;
+            let label = e
+                .get("args")
+                .and_then(|a| a.get("name"))
+                .and_then(Value::as_str)
+                .ok_or("thread_name record without args.name")?;
+            tracks.push(Track {
+                tid,
+                label: label.to_string(),
+                events: 0,
+                last_ts: -1.0,
+            });
+        }
+    }
+    if tracks.is_empty() {
+        return Err("no thread tracks declared".to_string());
+    }
+
+    let mut total = 0u64;
+    for e in events {
+        if e.get("ph").and_then(Value::as_str) == Some("M") {
+            continue;
+        }
+        let tid = e.get("tid").and_then(Value::as_f64).unwrap_or(-1.0) as u32;
+        let ts = e
+            .get("ts")
+            .and_then(Value::as_f64)
+            .ok_or("event without ts")?;
+        if ts < 0.0 {
+            return Err(format!("negative timestamp {ts}"));
+        }
+        total += 1;
+        let track = tracks
+            .iter_mut()
+            .find(|t| t.tid == tid)
+            .ok_or_else(|| format!("event on undeclared track tid={tid}"))?;
+        if ts < track.last_ts {
+            return Err(format!(
+                "timestamps regress on track `{}` ({ts} after {})",
+                track.label, track.last_ts
+            ));
+        }
+        track.last_ts = ts;
+        track.events += 1;
+    }
+    if let Some(empty) = tracks.iter().find(|t| t.events == 0) {
+        return Err(format!("declared track `{}` has no events", empty.label));
+    }
+    Ok((total, tracks.len()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,8 +331,6 @@ mod tests {
                 0.5, 0.25, 3.0, 1.0, 0.1, 0.2, 4.0, 2.0, 80.0, 80.0, 80.0, 80.0,
             ],
         );
-        let mut nm_latency = LatencyHistogram::new();
-        nm_latency.record(80);
         let mut latency = crate::sketch::LatencyBreakdown::new();
         latency.record(AccessClass::NmHit, 80);
         latency.record(AccessClass::SwapPath, 900);
@@ -322,8 +378,6 @@ mod tests {
                 }],
             ],
             0,
-            nm_latency,
-            LatencyHistogram::new(),
             latency,
             series,
             250,
@@ -366,7 +420,6 @@ mod tests {
         assert!(text.contains("250 cycles"));
         assert!(text.contains("swap_start"));
         assert!(text.contains("dram_cmd"));
-        assert!(text.contains("demand latency"));
         // The percentile plane lists every class plus the merged overall.
         assert!(text.contains("latency class"));
         for class in AccessClass::ALL {
@@ -389,5 +442,62 @@ mod tests {
             other.get("demand_lat_p999").and_then(|n| n.as_f64()),
             Some(900.0)
         );
+    }
+
+    /// The sample report's Chrome trace with one more record spliced in
+    /// at the end of `traceEvents`.
+    fn trace_with(record: &str) -> String {
+        let json = chrome_trace(&sample_report());
+        let spliced = json.replacen("\n],", &format!(",\n{record}\n],"), 1);
+        assert_ne!(spliced, json, "splice point missing");
+        spliced
+    }
+
+    #[test]
+    fn check_accepts_the_exporters_trace() {
+        // Controller, nm.ch0 and fm.ch2 tracks; the nm track carries the
+        // command and the queue-depth counter sample.
+        assert_eq!(
+            check_chrome_trace(&chrome_trace(&sample_report())),
+            Ok((5, 3))
+        );
+    }
+
+    #[test]
+    fn check_rejects_invalid_json() {
+        let json = chrome_trace(&sample_report());
+        let err = check_chrome_trace(json.trim_end().trim_end_matches('}')).unwrap_err();
+        assert!(err.starts_with("invalid JSON"), "{err}");
+    }
+
+    #[test]
+    fn check_rejects_a_document_without_trace_events() {
+        let json = chrome_trace(&sample_report()).replacen("traceEvents", "events", 1);
+        let err = check_chrome_trace(&json).unwrap_err();
+        assert!(err.contains("no `traceEvents`"), "{err}");
+    }
+
+    #[test]
+    fn check_rejects_an_event_on_an_undeclared_track() {
+        let json = trace_with(r#"{"name":"stray","ph":"i","ts":20,"pid":0,"tid":99,"s":"t"}"#);
+        let err = check_chrome_trace(&json).unwrap_err();
+        assert!(err.contains("undeclared track tid=99"), "{err}");
+    }
+
+    #[test]
+    fn check_rejects_a_declared_track_without_events() {
+        let json = trace_with(
+            r#"{"name":"thread_name","ph":"M","pid":0,"tid":99,"args":{"name":"ghost"}}"#,
+        );
+        let err = check_chrome_trace(&json).unwrap_err();
+        assert!(err.contains("`ghost` has no events"), "{err}");
+    }
+
+    #[test]
+    fn check_rejects_a_timestamp_regressing_on_one_track() {
+        // The controller track already holds events at cycles 10 and 12.
+        let json = trace_with(r#"{"name":"late","ph":"i","ts":3,"pid":0,"tid":1,"s":"t"}"#);
+        let err = check_chrome_trace(&json).unwrap_err();
+        assert!(err.contains("regress on track `controller`"), "{err}");
     }
 }

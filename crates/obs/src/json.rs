@@ -1,8 +1,10 @@
 //! A minimal hand-rolled JSON parser (the workspace is dependency-free).
 //!
-//! Exists to *validate* the simulator's own exports — the `trace_check`
-//! binary parses emitted Chrome traces and asserts their shape — so it
-//! favors clarity over speed and keeps object fields in declaration order
+//! Exists to read the simulator's own artifacts back —
+//! [`check_chrome_trace`](crate::export::check_chrome_trace) parses
+//! emitted Chrome traces and asserts their shape, and the bench crate's
+//! trajectory gate parses committed JSON results — so it favors clarity
+//! over speed and keeps object fields in declaration order
 //! (deterministic, and no default-hasher maps per the workspace `clippy.toml`).
 
 /// A parsed JSON value.

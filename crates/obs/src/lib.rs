@@ -7,26 +7,25 @@
 //! write-drain?"). This crate provides the sinks and exporters behind the
 //! tracing vocabulary defined in [`silcfm_types::obs`]:
 //!
-//! * [`RingTracer`] — a fixed-capacity ring buffer implementing
-//!   [`Tracer`]; when full it overwrites the oldest events (and counts the
-//!   drops) so long runs keep the most recent window;
-//! * [`SamplingTracer`] — the tracer the simulator runs with: exact
-//!   per-kind event counters on every record, full events retained in an
-//!   inner [`RingTracer`] only 1-in-N (power-of-two N; N = 1 is full
-//!   tracing);
-//! * [`LatencyHistogram`] — log-bucketed (power-of-two) latency histograms
-//!   with fixed storage, HdrHistogram style;
+//! * [`SamplingTracer`] — the [`Tracer`] the simulator runs with: exact
+//!   per-kind event counters on every record, full events retained 1-in-N
+//!   (power-of-two N; N = 1 is full tracing) in a fixed-capacity ring that
+//!   overwrites its oldest events (and counts the drops) so long runs keep
+//!   the most recent window;
 //! * [`EpochSampler`] — a per-epoch time-series sampler over a declared
 //!   [`SeriesSpec`] column set, with preallocated storage;
 //! * [`QuantileSketch`] / [`LatencyBreakdown`] — deterministic, mergeable
 //!   quantile sketches for per-class latency percentiles (p50/p95/p99/p999),
-//!   with a seeded [`LatencyReservoir`] for exact small-N validation;
+//!   the crate's one latency structure, with a seeded [`LatencyReservoir`]
+//!   for exact small-N validation;
 //! * [`export`] — Chrome trace-event JSON (`chrome://tracing`-loadable),
-//!   CSV time series, and a human summary table;
+//!   CSV time series, and a human summary table, plus
+//!   [`export::check_chrome_trace`], the trace validator;
 //! * [`TextTable`] — a fixed-width table renderer with per-column
 //!   alignment, for the trace summaries and the `scheme_shootout` example;
-//! * [`json`] — a minimal hand-rolled JSON parser backing the
-//!   `trace_check` validator binary (the workspace is dependency-free).
+//! * [`json`] — a minimal hand-rolled JSON parser backing the trace
+//!   validator and the bench crate's trajectory reader (the workspace is
+//!   dependency-free).
 //!
 //! Everything here is deterministic: timestamps are simulation cycles
 //! (never wall clock, per the workspace `clippy.toml`) and exporters format floats with fixed
@@ -34,18 +33,14 @@
 //! hosts and across serial/parallel runs.
 
 pub mod export;
-pub mod hist;
 pub mod json;
 pub mod report;
-pub mod ring;
 pub mod sampler;
 pub mod sampling;
 pub mod sketch;
 pub mod table;
 
-pub use hist::LatencyHistogram;
 pub use report::{ObsReport, TaggedEvent, Unit};
-pub use ring::RingTracer;
 pub use sampler::{run_series, slo_series, EpochSampler, SeriesSpec};
 pub use sampling::SamplingTracer;
 pub use sketch::{LatencyBreakdown, LatencyReservoir, QuantileSketch};

@@ -2,7 +2,6 @@
 
 use silcfm_types::obs::{Event, TraceEvent};
 
-use crate::hist::LatencyHistogram;
 use crate::sampler::EpochSampler;
 use crate::sketch::LatencyBreakdown;
 
@@ -40,8 +39,9 @@ pub struct TaggedEvent {
     pub event: Event,
 }
 
-/// Everything observed during one run: the merged event stream, demand
-/// latency histograms, the epoch time series, and bookkeeping totals.
+/// Everything observed during one run: the merged event stream, the
+/// per-class demand-latency sketches, the epoch time series, and
+/// bookkeeping totals.
 ///
 /// Reports are plain data; the exporters in [`crate::export`] turn them
 /// into Chrome-trace JSON, CSV, or a human summary. All content derives
@@ -54,10 +54,6 @@ pub struct ObsReport {
     pub events: Vec<TaggedEvent>,
     /// Events lost to ring-buffer capacity, across all units.
     pub dropped: u64,
-    /// Demand-access service latency when serviced from near memory.
-    pub nm_latency: LatencyHistogram,
-    /// Demand-access service latency when serviced from far memory.
-    pub fm_latency: LatencyHistogram,
     /// Per-class demand-latency quantile sketches (the percentile plane).
     pub latency: LatencyBreakdown,
     /// The sealed per-epoch time series.
@@ -74,8 +70,6 @@ impl ObsReport {
     pub fn assemble(
         streams: [Vec<TraceEvent>; 3],
         dropped: u64,
-        nm_latency: LatencyHistogram,
-        fm_latency: LatencyHistogram,
         latency: LatencyBreakdown,
         series: EpochSampler,
         total_cycles: u64,
@@ -95,8 +89,6 @@ impl ObsReport {
         Self {
             events,
             dropped,
-            nm_latency,
-            fm_latency,
             latency,
             series,
             total_cycles,
@@ -132,8 +124,6 @@ mod tests {
         let r = ObsReport::assemble(
             [vec![te(5), te(9)], vec![te(5), te(1)], vec![te(5)]],
             3,
-            LatencyHistogram::new(),
-            LatencyHistogram::new(),
             LatencyBreakdown::new(),
             EpochSampler::new(SeriesSpec::new(), 100, 0),
             1000,

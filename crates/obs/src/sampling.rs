@@ -1,10 +1,9 @@
 //! The sampling tracer tier: full counters always, full events 1-in-N.
 //!
-//! The ring tracer records every event, which costs double-digit
-//! percentages of the system's throughput when enabled — roughly half
-//! with capture-sized (1 Mi-event) rings — too much to leave on outside
-//! a debugging session (see `results/BENCH_throughput.json`,
-//! `tracing_overhead`).
+//! Recording every event costs double-digit percentages of the system's
+//! throughput — roughly half with capture-sized (1 Mi-event) buffers —
+//! too much to leave on outside a debugging session (see
+//! `results/BENCH_throughput.json`, `tracing_overhead`).
 //! Most observability questions, though, only need *rates*: how many lock
 //! promotions, how many swaps, how often did bypass engage. The
 //! [`SamplingTracer`] answers those with a fixed array of per-kind event
@@ -12,20 +11,26 @@
 //! (with its cycle stamp and payload) only once every `period` events —
 //! a power of two, so the sample decision is one mask-and-compare.
 //!
-//! Downstream consumers need no changes: `drain`/`dropped` delegate to the
-//! inner ring, so `ObsReport` assembly and the Chrome-trace exporter see an
-//! ordinary (sparser) event stream, and [`Tracer::counters`] surfaces the
+//! Sampled events land in a preallocated ring: once it fills, each new
+//! event overwrites the oldest one and bumps the drop count, so long runs
+//! keep the most recent window at a hard memory bound. `ObsReport`
+//! assembly and the Chrome-trace exporter see an ordinary (sparser) event
+//! stream through `drain`/`dropped`, and [`Tracer::counters`] surfaces the
 //! exact totals the samples no longer carry.
 
 use silcfm_types::obs::{Event, TraceEvent, Tracer, EVENT_KINDS};
 
-use crate::ring::RingTracer;
-
-/// A [`Tracer`] that counts every event and records one full event per
-/// `period` into an inner [`RingTracer`]. See the [module docs](self).
+/// A [`Tracer`] that counts every event and keeps one full event per
+/// `period` in a fixed-capacity ring. See the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct SamplingTracer {
-    ring: RingTracer,
+    /// The sampled events; never grows past its initial capacity.
+    buf: Vec<TraceEvent>,
+    /// Index of the oldest event once the ring has wrapped; equivalently
+    /// the slot the next overwrite lands in.
+    head: usize,
+    /// Sampled events overwritten by newer ones.
+    dropped: u64,
     /// `period - 1`; the period is a power of two, so `seq & mask == 0`
     /// selects exactly one event in `period`.
     mask: u64,
@@ -49,8 +54,11 @@ impl SamplingTracer {
             period.is_power_of_two(),
             "sampling period must be a power of two"
         );
+        assert!(capacity > 0, "sampling tracer needs at least one slot");
         Self {
-            ring: RingTracer::with_capacity(capacity),
+            buf: Vec::with_capacity(capacity),
+            head: 0,
+            dropped: 0,
             mask: period - 1,
             seq: 0,
             counts: [0; EVENT_KINDS],
@@ -69,12 +77,12 @@ impl SamplingTracer {
 
     /// Number of sampled events currently buffered.
     pub fn len(&self) -> usize {
-        self.ring.len()
+        self.buf.len()
     }
 
     /// Whether no sampled events are buffered.
     pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
+        self.buf.is_empty()
     }
 }
 
@@ -89,17 +97,32 @@ impl Tracer for SamplingTracer {
             *count += 1;
         }
         if self.seq & self.mask == 0 {
-            self.ring.record(cycle, event);
+            let e = TraceEvent { at: cycle, event };
+            if self.buf.len() < self.buf.capacity() {
+                self.buf.push(e);
+            } else if let Some(slot) = self.buf.get_mut(self.head) {
+                *slot = e;
+                self.head += 1;
+                if self.head == self.buf.len() {
+                    self.head = 0;
+                }
+                self.dropped += 1;
+            }
         }
         self.seq += 1;
     }
 
     fn drain(&mut self) -> Vec<TraceEvent> {
-        self.ring.drain()
+        let mut out = Vec::with_capacity(self.buf.len());
+        out.extend_from_slice(self.buf.get(self.head..).unwrap_or(&[]));
+        out.extend_from_slice(self.buf.get(..self.head).unwrap_or(&[]));
+        self.buf.clear();
+        self.head = 0;
+        out
     }
 
     fn dropped(&self) -> u64 {
-        self.ring.dropped()
+        self.dropped
     }
 
     fn counters(&self) -> [u64; EVENT_KINDS] {
@@ -151,17 +174,32 @@ mod tests {
     }
 
     #[test]
-    fn period_one_degenerates_to_the_ring() {
+    fn period_one_keeps_every_event_under_capacity() {
         let mut t = SamplingTracer::with_capacity(16, 1);
         for i in 0..10u64 {
             t.record(i, Event::PredictorHit);
         }
-        assert_eq!(t.drain().len(), 10);
+        let stamps: Vec<u64> = t.drain().iter().map(|e| e.at).collect();
+        assert_eq!(stamps, (0..10).collect::<Vec<u64>>());
         assert_eq!(t.dropped(), 0);
+        assert!(t.is_empty());
     }
 
     #[test]
-    fn dropped_delegates_to_the_ring() {
+    fn drain_resets_the_window() {
+        let mut t = SamplingTracer::with_capacity(3, 1);
+        for i in 0..7u64 {
+            t.record(i, Event::PredictorHit);
+        }
+        let _ = t.drain();
+        t.record(100, Event::PredictorHit);
+        let events = t.drain();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].at, 100);
+    }
+
+    #[test]
+    fn overwrites_count_as_drops() {
         let mut t = SamplingTracer::with_capacity(4, 2);
         for i in 0..40u64 {
             t.record(i, Event::PredictorHit);
@@ -183,5 +221,11 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_period_rejected() {
         let _ = SamplingTracer::with_capacity(8, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one slot")]
+    fn zero_capacity_rejected() {
+        let _ = SamplingTracer::with_capacity(0, 1);
     }
 }

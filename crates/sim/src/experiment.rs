@@ -361,9 +361,8 @@ pub enum Tier {
     /// No tracers and no report: the untraced machine.
     #[default]
     Off,
-    /// The metrics plane only: the per-class latency quantile sketches,
-    /// the demand-latency histograms and the epoch sampler populate, but no
-    /// event is buffered — the DRAM devices carry [`MetricsOnlyTracer`]s
+    /// The metrics plane only: the per-class latency quantile sketches
+    /// and the epoch sampler populate, but no event is buffered — the DRAM devices carry [`MetricsOnlyTracer`]s
     /// whose `record` inlines to nothing and the controller runs its
     /// untraced build. Its latency plane is byte-identical to
     /// [`Tier::Sampled`]'s; its report's event stream is empty.

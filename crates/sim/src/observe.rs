@@ -1,9 +1,9 @@
-//! Per-run observability state: the epoch time-series sampler, demand
-//! latency histograms, and the final report assembly.
+//! Per-run observability state: the epoch time-series sampler, the
+//! per-class demand-latency sketches, and the final report assembly.
 //!
 //! Lives outside `system.rs` so the delta bookkeeping stays off the
 //! simulator's hot path: [`System`](crate::system::System) calls in here at
-//! most once per epoch (plus one histogram update per demand miss), and
+//! most once per epoch (plus one sketch update per demand miss), and
 //! only when built with a real tracer.
 
 use silcfm_dram::DramModel;
@@ -12,7 +12,7 @@ use silcfm_obs::sampler::{
     COL_LAT_P999, COL_LOCKS, COL_NM_BUS_UTIL, COL_NM_DEMAND_FRAC, COL_READ_QUEUE, COL_SWAPS,
     COL_WRITE_QUEUE,
 };
-use silcfm_obs::{LatencyBreakdown, LatencyHistogram, ObsReport, QuantileSketch};
+use silcfm_obs::{LatencyBreakdown, ObsReport, QuantileSketch};
 use silcfm_types::obs::Tracer;
 use silcfm_types::{AccessClass, MemKind, MemoryScheme};
 
@@ -28,14 +28,12 @@ fn frac(num: f64, den: f64) -> f64 {
 }
 
 /// Observability state carried by one traced [`System`](crate::system::System)
-/// run: accumulates the per-epoch time series and the demand latency
-/// histograms, then folds everything (plus the drained event buffers) into
+/// run: accumulates the per-epoch time series and the demand-latency
+/// sketches, then folds everything (plus the drained event buffers) into
 /// an [`ObsReport`].
 #[derive(Debug)]
 pub struct RunObs {
     sampler: EpochSampler,
-    nm_latency: LatencyHistogram,
-    fm_latency: LatencyHistogram,
     /// Whole-run per-class latency sketches (the percentile plane).
     latency: LatencyBreakdown,
     /// Within-epoch latency sketch behind the `obs.lat.*` series columns,
@@ -60,8 +58,6 @@ impl RunObs {
     pub fn new(epoch_cycles: u64, expected_cycles: u64) -> Self {
         Self {
             sampler: EpochSampler::new(run_series(), epoch_cycles, expected_cycles),
-            nm_latency: LatencyHistogram::new(),
-            fm_latency: LatencyHistogram::new(),
             latency: LatencyBreakdown::new(),
             epoch_latency: QuantileSketch::new(),
             epoch_accesses: 0,
@@ -76,17 +72,13 @@ impl RunObs {
         }
     }
 
-    /// Records one serviced demand miss: where it was serviced from, its
-    /// service-path [`AccessClass`], and its critical-path latency in CPU
-    /// cycles.
+    /// Records one serviced demand miss: where it was serviced from (for
+    /// the epoch NM-hit column), its service-path [`AccessClass`], and its
+    /// critical-path latency in CPU cycles.
     pub fn on_demand(&mut self, from: MemKind, class: AccessClass, latency: u64) {
         self.epoch_accesses += 1;
-        match from {
-            MemKind::Near => {
-                self.epoch_nm_hits += 1;
-                self.nm_latency.record(latency);
-            }
-            MemKind::Far => self.fm_latency.record(latency),
+        if from == MemKind::Near {
+            self.epoch_nm_hits += 1;
         }
         self.latency.record(class, latency);
         self.epoch_latency.record(latency);
@@ -188,8 +180,6 @@ impl RunObs {
         ObsReport::assemble(
             [scheme.drain_trace(), nm.drain_trace(), fm.drain_trace()],
             dropped,
-            self.nm_latency,
-            self.fm_latency,
             self.latency,
             self.sampler,
             total_cycles,
@@ -230,8 +220,6 @@ mod tests {
         assert!((report.series.row(0)[COL_NM_DEMAND_FRAC] - 0.25).abs() < 1e-12);
         assert!((report.series.row(1)[COL_HIT_RATE] - 1.0).abs() < 1e-12);
         assert_eq!(report.series.row(1)[COL_NM_DEMAND_FRAC], 0.0);
-        assert_eq!(report.nm_latency.count(), 2);
-        assert_eq!(report.fm_latency.count(), 1);
         assert_eq!(report.total_cycles, 2_500);
 
         // The percentile plane: per-class attribution plus within-epoch

@@ -20,7 +20,7 @@
 //!   seeding, xoshiro256\*\* streams) used by workload generation, placement
 //!   and the experiment runner;
 //! * [`check`] — a minimal fixed-seed property-testing harness;
-//! * [`stats`] — small counter/ratio helpers used across crates;
+//! * [`stats`] — small ratio, mean and rate helpers used across crates;
 //! * [`obs`] — the tracing vocabulary ([`obs::Event`], [`obs::Tracer`],
 //!   [`obs::NullTracer`]) that lets components be instrumented with zero
 //!   cost when tracing is off (sinks live in `silcfm-obs`);

@@ -311,7 +311,7 @@ impl Tracer for NullTracer {
 
 /// The metrics-only tracer: `ENABLED` is `true` so every `if T::ENABLED`
 /// observability hook runs — demand-latency attribution into the quantile
-/// sketches, the histograms, the epoch sampler — but [`Tracer::record`]
+/// sketches, the epoch sampler — but [`Tracer::record`]
 /// is a no-op that inlines away, so no event is ever buffered and full
 /// tracing's per-event cost vanishes. This is the cheapest configuration
 /// that still produces the latency-percentile plane, and the one the

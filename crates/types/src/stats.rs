@@ -1,54 +1,5 @@
 //! Small statistics helpers shared across the simulator crates.
 
-use core::fmt;
-
-/// A monotonically increasing event counter.
-///
-/// # Example
-///
-/// ```
-/// use silcfm_types::stats::Counter;
-/// let mut c = Counter::new();
-/// c.incr();
-/// c.add(4);
-/// assert_eq!(c.get(), 5);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub const fn new() -> Self {
-        Self(0)
-    }
-
-    /// Increments by one.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    pub const fn get(self) -> u64 {
-        self.0
-    }
-
-    /// Resets to zero.
-    pub fn reset(&mut self) {
-        self.0 = 0;
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Display::fmt(&self.0, f)
-    }
-}
-
 /// Safe ratio: returns 0 when the denominator is 0.
 pub fn ratio(numerator: u64, denominator: u64) -> f64 {
     if denominator == 0 {
@@ -138,18 +89,6 @@ impl WindowedRate {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_ops() {
-        let mut c = Counter::new();
-        assert_eq!(c.get(), 0);
-        c.incr();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-        assert_eq!(c.to_string(), "10");
-        c.reset();
-        assert_eq!(c.get(), 0);
-    }
 
     #[test]
     fn ratio_handles_zero() {

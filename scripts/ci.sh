@@ -116,18 +116,16 @@ echo "==> throughput benchmark + perf-regression gate (ratio bands vs committed 
 cargo run --release --offline -p silcfm-bench --bin throughput -- \
   --budget 16000 --repeats 3 --no-write --skip-grid --check
 
-# Trace smoke: capture one fully traced smoke run, then validate the
-# Chrome trace with the in-tree checker — the JSON must parse, every
-# declared track must carry at least one event, and per-track timestamps
-# must be monotone (see DESIGN.md §9).
+# Trace smoke: capture one fully traced smoke run. `trace_capture --trace`
+# validates the Chrome trace it writes and exits 1 on a violation — the
+# JSON must parse, every declared track must carry at least one event,
+# and per-track timestamps must be monotone (see DESIGN.md §9).
 echo "==> trace capture + validation (smoke)"
 trace_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir"' EXIT
 cargo run --release --offline -p silcfm-bench --bin trace_capture -- \
   --smoke --trace "$trace_dir/trace.json" --metrics-out "$trace_dir/series.csv" \
   --summary
-cargo run --release --offline -p silcfm-obs --bin trace_check -- \
-  "$trace_dir/trace.json"
 
 # Sampling-tier smoke: the same capture with the ring subsampled 1-in-16.
 # The trace must still validate (tracks present, timestamps monotone) and
@@ -136,8 +134,6 @@ cargo run --release --offline -p silcfm-obs --bin trace_check -- \
 echo "==> sampling tracer capture + validation (smoke, 1-in-16)"
 cargo run --release --offline -p silcfm-bench --bin trace_capture -- \
   --smoke --sampling 16 --trace "$trace_dir/sampled.json" --summary
-cargo run --release --offline -p silcfm-obs --bin trace_check -- \
-  "$trace_dir/sampled.json"
 
 # Kill-and-resume smoke: run the journaled experiment grid, crash it mid-write
 # after 2 of 4 jobs (exit 3, torn tail on the journal), resume it, and

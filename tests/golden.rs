@@ -234,7 +234,7 @@ fn outcome_reuse_matches_fresh_outcomes() {
 }
 
 /// Tracing is observation only. Running the whole snapshot grid with every
-/// event traced, the demand-latency histograms and epoch sampler live must
+/// event traced, the demand-latency sketches and epoch sampler live must
 /// reproduce the untraced stats digest bit for bit — the `T::ENABLED` emit
 /// sites never touch simulation state. And the exported artifacts are
 /// themselves deterministic: a serial re-run of a cell produces Chrome
@@ -277,5 +277,50 @@ fn tracing_is_behavior_neutral_and_deterministic() {
             export::csv_series(parallel_report),
             "CSV time series diverged between serial and parallel runs"
         );
+    }
+}
+
+/// The Chrome export of a short traced SILC-FM run passes the trace
+/// validator at full tracing and at 1-in-16 sampling: the text parses,
+/// every declared track carries events, and per-track timestamps never
+/// regress.
+#[test]
+fn chrome_exports_of_sampled_runs_validate() {
+    use silc_fm::obs::export;
+    use silc_fm::sim::{Tier, TraceParams};
+    use silc_fm::trace::profiles;
+
+    let profile = profiles::by_name("mcf").unwrap();
+    let params = RunParams {
+        accesses_per_core: 10_000,
+        ..RunParams::smoke()
+    };
+    let mut full_events = 0;
+    for period in [1, 16] {
+        let spec = RunSpec {
+            tier: Tier::Sampled { period },
+            trace: TraceParams {
+                events_capacity: 1 << 16,
+                epoch_cycles: 50_000,
+            },
+            ..RunSpec::default()
+        };
+        let cfg = SystemConfig::small();
+        let out = run_spec(profile, SchemeKind::silcfm(), &cfg, &params, &spec).unwrap();
+        let report = out.obs.unwrap();
+        let (events, tracks) = export::check_chrome_trace(&export::chrome_trace(&report))
+            .unwrap_or_else(|e| panic!("period {period}: {e}"));
+        assert_eq!(events, report.event_count() as u64, "period {period}");
+        // The controller plus at least one channel of each device.
+        assert!(tracks >= 3, "period {period}: {tracks} tracks");
+        if period == 1 {
+            assert_eq!(report.dropped, 0, "the capacity must hold the whole run");
+            full_events = events;
+        } else {
+            assert!(
+                events < full_events,
+                "1-in-{period} kept {events} of {full_events}"
+            );
+        }
     }
 }

@@ -306,49 +306,69 @@ fn geometry_round_trip() {
 
 // ---- observability invariants ---------------------------------------------
 
-/// Histogram bucketing round-trips: every value lands inside the bucket
-/// reported for it, and adjacent buckets tile the `u64` line with no gap
-/// or overlap.
+/// `QuantileSketch` buckets round-trip through the public API: values
+/// below 32 are exact, and above that a value reports as its bucket's
+/// upper edge, within `REL_ERROR_BOUND` of it, at power-of-two boundaries
+/// and their neighbours too. Edges tile the line: an edge reports as
+/// itself and the value past it lands in a higher bucket.
 #[test]
 fn histogram_buckets_round_trip() {
-    use silc_fm::obs::hist::{bucket_of, bucket_range};
+    use silc_fm::obs::sketch::REL_ERROR_BOUND;
+    use silc_fm::obs::QuantileSketch;
+    /// The edge of the bucket holding `v`: the median of `{v, u64::MAX}`,
+    /// so the recorded maximum never clamps it.
+    fn edge(v: u64) -> u64 {
+        let mut s = QuantileSketch::new();
+        s.record(v);
+        s.record(u64::MAX);
+        s.p50()
+    }
     forall("histogram_buckets_round_trip", |rng| {
         // Stress the power-of-two boundaries plus a uniform draw.
-        let exp = rng.gen_range(0u64..64);
+        let exp = rng.gen_range(0u64..63);
         let base = 1u64 << exp;
         for v in [
             0,
             base,
             base - 1,
-            base.saturating_add(1),
-            rng.gen_range(0u64..u64::MAX),
+            base + 1,
+            rng.gen_range(0u64..u64::MAX / 2),
         ] {
-            let b = bucket_of(v);
-            let (lo, hi) = bucket_range(b);
-            assert!(lo <= v && v <= hi, "{v} outside bucket {b} [{lo}, {hi}]");
-            if b > 0 {
-                let (_, below) = bucket_range(b - 1);
-                assert_eq!(lo, below + 1, "gap or overlap below bucket {b}");
+            // A one-value sketch reports its value at every quantile.
+            let mut one = QuantileSketch::new();
+            one.record(v);
+            assert_eq!(one.percentiles(), [v; 4], "one-value sketch of {v}");
+
+            let high = edge(v);
+            if v < 32 {
+                assert_eq!(high, v, "{v} must be exact");
+            } else {
+                assert!(high >= v, "{v} reported below itself as {high}");
+                let err = (high - v) as f64 / v as f64;
+                assert!(err <= REL_ERROR_BOUND, "{v} reported as {high}");
             }
+            assert_eq!(edge(high), high, "edge {high} leaves its bucket");
+            assert!(edge(high + 1) > high, "overlap above edge {high}");
         }
     });
 }
 
-/// A ring tracer driven past capacity keeps exactly the newest
-/// `capacity` events, in recording order, and counts each overwrite
-/// as one drop.
+/// A sampling tracer at period 1 driven past capacity keeps exactly the
+/// newest `capacity` events, in recording order, counts each overwrite as
+/// one drop, and counts every event it saw.
 #[test]
 fn ring_wraparound_keeps_newest_events() {
-    use silc_fm::obs::{Event, RingTracer, Tracer};
+    use silc_fm::obs::{Event, SamplingTracer, Tracer};
     forall("ring_wraparound_keeps_newest_events", |rng| {
         let capacity = rng.gen_range(1u64..48);
         let n = rng.gen_range(1u64..160);
-        let mut t = RingTracer::with_capacity(capacity as usize);
+        let mut t = SamplingTracer::with_capacity(capacity as usize, 1);
         for i in 0..n {
             t.record(i, Event::PredictorHit);
         }
         let kept = n.min(capacity);
         assert_eq!(t.dropped(), n - kept);
+        assert_eq!(t.counters()[Event::PredictorHit.kind_index()], n);
         let events = t.drain();
         assert_eq!(events.len() as u64, kept);
         let oldest_kept = n - kept;
