@@ -166,7 +166,7 @@ mod tests {
         assert!(allows[0].covers("P1", 4));
         assert!(allows[0].covers("A1", 5));
         assert!(!allows[0].covers("P1", 6));
-        assert!(!allows[0].covers("T1", 4));
+        assert!(!allows[0].covers("N1", 4));
     }
 
     #[test]
@@ -176,12 +176,12 @@ mod tests {
             "x.rs",
             &[comment(
                 1,
-                " silcfm-lint: allow-file(T1) -- a demo that spawns its own threads",
+                " silcfm-lint: allow-file(N1) -- an exporter whose maps are sorted upstream",
             )],
             &mut errs,
         );
         assert!(errs.is_empty());
-        assert!(allows[0].covers("T1", 999));
+        assert!(allows[0].covers("N1", 999));
     }
 
     #[test]

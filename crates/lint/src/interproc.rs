@@ -1,7 +1,6 @@
-//! Interprocedural rule passes over the workspace call graph.
-//!
-//! Where [`crate::rules`] pattern-matches tokens file by file, this module
-//! works on the [`crate::symbols::Workspace`] + [`crate::callgraph`] pair:
+//! Interprocedural rule passes over the workspace call graph: every rule
+//! that finds code ([`crate::rules`] holds the table). They work on the
+//! [`crate::symbols::Workspace`] + [`crate::callgraph`] pair:
 //!
 //! * **P1 / A1** — panic- and allocation-freedom of the access hot path.
 //!   The hot set is no longer a hand-maintained module list: it is the
@@ -15,11 +14,6 @@
 //!   exporters) without sorting first. Hash iteration order is
 //!   seed/platform-dependent; letting it leak into merged stats or emitted
 //!   bytes breaks bit-reproducibility.
-//! * **F1** — unordered float reductions (`.sum()`, `.product()`,
-//!   `.fold()`) inside merge/aggregation functions reachable from the
-//!   sharded or parallel-grid entry points. Float addition does not
-//!   associate, so a reduction whose operand order is not pinned can
-//!   differ between serial and sharded runs.
 //!
 //! All passes skip `#[cfg(test)]` functions and files under
 //! `tests/`/`examples/`/`benches/`: the contracts bind shipped simulator
@@ -80,9 +74,6 @@ const HASH_ITER_METHODS: &[&str] = &[
 /// types — floats void the exemption).
 const ORDER_INSENSITIVE_CONSUMERS: &[&str] = &["sum", "count", "min", "max", "all", "any"];
 
-/// Float reduction methods F1 looks for.
-const FLOAT_REDUCERS: &[&str] = &["sum", "product", "fold"];
-
 /// Runs every graph-based pass over a built workspace. `check_config`
 /// additionally audits the analyzer's own configuration (stale
 /// [`crate::AMORTIZED_BOUNDARIES`] entries and listed paths matching no
@@ -93,30 +84,22 @@ pub fn lint_graph(ws: &Workspace, check_config: bool) -> Vec<Finding> {
     let mut findings = Vec::new();
     hot_path_pass(ws, &graph, check_config, &mut findings);
     order_taint_pass(ws, &graph, &mut findings);
-    float_merge_pass(ws, &graph, &mut findings);
     if check_config {
         stale_paths(ws, &mut findings);
     }
     findings
 }
 
-/// Reports each [`crate::ORDER_SINK_FILES`] and
-/// [`crate::SANCTIONED_CONCURRENCY`] path that matches no workspace file as
-/// X1: a renamed or deleted file would otherwise drop out of N1/T1
+/// Reports each [`crate::ORDER_SINK_FILES`] path that matches no workspace
+/// file as X1: a renamed or deleted file would otherwise drop out of N1
 /// coverage without any finding.
 fn stale_paths(ws: &Workspace, findings: &mut Vec<Finding>) {
-    let lists = [
-        ("ORDER_SINK_FILES", crate::ORDER_SINK_FILES),
-        ("SANCTIONED_CONCURRENCY", crate::SANCTIONED_CONCURRENCY),
-    ];
-    for (list, paths) in lists {
-        for path in paths {
-            if !ws.files.iter().any(|f| f.path == *path) {
-                findings.push(config_error(
-                    format!("{list} entry `{path}` matches no workspace file"),
-                    "remove the stale path or point it at the file's new location",
-                ));
-            }
+    for path in crate::ORDER_SINK_FILES {
+        if !ws.files.iter().any(|f| f.path == *path) {
+            findings.push(config_error(
+                format!("ORDER_SINK_FILES entry `{path}` matches no workspace file"),
+                "remove the stale path or point it at the file's new location",
+            ));
         }
     }
 }
@@ -602,91 +585,6 @@ fn consumed_order_insensitively(toks: &[Token], i: usize, end: usize) -> bool {
     insensitive && !float
 }
 
-// ---- F1: float reductions on parallel merge paths --------------------------
-
-fn float_merge_pass(ws: &Workspace, graph: &CallGraph, findings: &mut Vec<Finding>) {
-    let seeds: Vec<FnId> = (0..ws.fns.len())
-        .map(FnId)
-        .filter(|&id| {
-            let f = &ws.fns[id.0];
-            !f.cfg_test
-                && !ws.files[f.file].is_test_file
-                && f.body.is_some()
-                && crate::PARALLEL_SEED_PREFIXES
-                    .iter()
-                    .any(|p| f.name.starts_with(p))
-        })
-        .collect();
-    let reach = Reach::compute(ws, graph, &seeds, &[]);
-
-    for id in (0..ws.fns.len()).map(FnId) {
-        if !reach.reached[id.0] || !scannable(ws, id) {
-            continue;
-        }
-        let name = ws.fns[id.0].name.as_str();
-        if !crate::MERGE_FN_MARKERS.iter().any(|m| name.contains(m)) {
-            continue;
-        }
-        let path = ws.files[ws.fns[id.0].file].path.clone();
-        if !crate::rules::determinism_scope(&path) {
-            continue;
-        }
-        let (toks, body) = body_tokens(ws, id);
-        let chain = reach.chain(ws, id);
-        for i in body.clone() {
-            let Some(t) = toks.get(i) else { break };
-            if t.kind != TokenKind::Ident
-                || !FLOAT_REDUCERS.contains(&t.text.as_str())
-                || !punct(toks.get(i + 1), '(')
-                || i == body.start
-                || !punct(toks.get(i - 1), '.')
-            {
-                continue;
-            }
-            if statement_has_float(toks, i, body.clone()) {
-                findings.push(Finding {
-                    rule: "F1",
-                    path: path.clone(),
-                    line: t.line,
-                    message: format!(
-                        "float `.{}(` reduction in merge/aggregation fn `{}` on a \
-                         sharded/parallel path: float addition does not associate, so \
-                         operand order must be pinned",
-                        t.text,
-                        ws.qualified_name(id)
-                    ),
-                    hint: "accumulate in a fixed order (indexed loop over a Vec) or keep \
-                           integer units until the final serial report"
-                        .to_string(),
-                    chain: chain.clone(),
-                });
-            }
-        }
-    }
-}
-
-/// Whether the statement around `i` shows float involvement: an `f64`/`f32`
-/// ident (declarations, casts, turbofish) or a float literal.
-fn statement_has_float(toks: &[Token], i: usize, body: Range<usize>) -> bool {
-    let mut start = i;
-    while start > body.start && !punct(toks.get(start - 1), ';') {
-        start -= 1;
-    }
-    for j in start..body.end {
-        let Some(t) = toks.get(j) else { break };
-        if j > i && punct(Some(t), ';') {
-            break;
-        }
-        if t.kind == TokenKind::Ident && (t.text == "f64" || t.text == "f32") {
-            return true;
-        }
-        if t.kind == TokenKind::Number && t.text.contains('.') {
-            return true;
-        }
-    }
-    false
-}
-
 // ---- token helpers ---------------------------------------------------------
 
 fn punct(t: Option<&Token>, c: char) -> bool {
@@ -854,38 +752,6 @@ mod tests {
     }
 
     #[test]
-    fn f1_flags_float_reductions_on_the_sharded_path() {
-        let findings = lint(&[(
-            "crates/sim/src/shard.rs",
-            "pub fn run_system_sharded(xs: &[f64]) -> f64 { merge_deltas(xs) }\n\
-             fn merge_deltas(xs: &[f64]) -> f64 {\n\
-                 let total: f64 = xs.iter().sum();\n\
-                 total\n\
-             }\n",
-        )]);
-        assert_eq!(
-            spots(&findings, "F1"),
-            vec![("crates/sim/src/shard.rs", 3)],
-            "{findings:#?}"
-        );
-        assert!(
-            findings[0].chain[0].contains("run_system_sharded"),
-            "{:?}",
-            findings[0].chain
-        );
-        // Integer reductions in the same shape are fine.
-        let findings = lint(&[(
-            "crates/sim/src/shard.rs",
-            "pub fn run_system_sharded(xs: &[u64]) -> u64 { merge_deltas(xs) }\n\
-             fn merge_deltas(xs: &[u64]) -> u64 {\n\
-                 let total: u64 = xs.iter().sum();\n\
-                 total\n\
-             }\n",
-        )]);
-        assert!(spots(&findings, "F1").is_empty(), "{findings:#?}");
-    }
-
-    #[test]
     fn stale_boundaries_are_a_config_error_under_check_config() {
         let owned = vec![(
             "crates/sim/src/system.rs".to_string(),
@@ -916,12 +782,11 @@ mod tests {
         };
         let listed: Vec<(String, String)> = crate::ORDER_SINK_FILES
             .iter()
-            .chain(crate::SANCTIONED_CONCURRENCY)
             .map(|p| (p.to_string(), String::new()))
             .collect();
         assert!(stale(&listed).is_empty(), "{:#?}", stale(&listed));
-        // Moving one file of each list away must surface both as X1.
-        let moved = ["crates/serve/src/journal.rs", "crates/sim/src/runner.rs"];
+        // Moving listed files away must surface each as X1.
+        let moved = ["crates/serve/src/journal.rs", "crates/obs/src/sketch.rs"];
         let rest: Vec<(String, String)> = listed
             .into_iter()
             .filter(|(p, _)| !moved.contains(&p.as_str()))

@@ -4,13 +4,15 @@
 //! ordinary tests check only after the fact: **determinism** (bit-identical
 //! serial/parallel results) and **hot-path discipline** (the access path
 //! neither allocates nor panics). This crate checks the parts of those
-//! contracts that need a whole-workspace view, before the build, with no
+//! contracts that need the workspace call graph, before the build, with no
 //! dependencies: a hand-rolled [`lexer`], an item [`parse`]r, a cross-file
 //! [`symbols`] table and [`callgraph`], and the interprocedural passes in
-//! [`interproc`]. File-local checks that clippy can make (default hashers,
-//! wall-clock and env reads, unwrap/expect/panic in setup code) live in the
-//! workspace `clippy.toml` instead; hermeticity is pinned by the lockfile
-//! test in `tests/config_guard.rs`.
+//! [`interproc`] (P1, A1, N1). File-local checks that clippy can make
+//! (default hashers, wall-clock and env reads, threads/locks/atomics outside
+//! the two runners, unwrap/expect/panic in setup code) live in the
+//! workspace `clippy.toml` instead; the stat-key schema is
+//! `silcfm_types::STAT_KEYS`, checked by a test in `tests/properties.rs`;
+//! hermeticity is pinned by the lockfile test in `tests/config_guard.rs`.
 //!
 //! See [`rules`] for the rule table, [`directives`] for the suppression
 //! syntax, and DESIGN.md § Static analysis for how to add a rule.
@@ -41,10 +43,9 @@ pub struct Finding {
     pub message: String,
     /// How to fix it (shown under `--fix-hints`).
     pub hint: String,
-    /// For interprocedural rules: the call chain connecting this site to
-    /// the rule's seed (A1/P1: seed → sink; N1/F1: site → order/parallel
-    /// sink), one `Qualified::fn (path:line)` hop per entry. Empty for
-    /// file-local rules.
+    /// For the interprocedural rules: the call chain connecting this site
+    /// to the rule's seed (A1/P1: seed → site; N1: site → order sink), one
+    /// `Qualified::fn (path:line)` hop per entry. Empty for X1.
     pub chain: Vec<String>,
 }
 
@@ -58,12 +59,6 @@ pub struct LintReport {
     /// Number of Rust sources scanned.
     pub files_scanned: usize,
 }
-
-/// The checked-in stat-key registry, relative to the workspace root.
-pub const STAT_KEY_REGISTRY: &str = "crates/lint/stat_keys.txt";
-
-/// Key prefix reserved for time-series columns (the `.series` sink).
-pub const SERIES_NAMESPACE: &str = "obs.";
 
 // ---- analyzer scope configuration ------------------------------------------
 //
@@ -148,61 +143,38 @@ pub const ORDER_SINK_FILES: &[&str] = &[
     "crates/obs/src/sketch.rs",
 ];
 
-/// Entry points of sharded/parallel execution (F1 seeds), by fn-name
-/// prefix.
-pub const PARALLEL_SEED_PREFIXES: &[&str] = &["run_grid", "run_system_sharded"];
-
-/// Name markers of merge/aggregation fns F1 inspects.
-pub const MERGE_FN_MARKERS: &[&str] = &["merge", "aggregate", "reduce", "accumulate"];
-
-/// The only modules allowed to spawn threads, pass channels, or touch
-/// atomics/locks (T1): the epoch-barrier shard runner and the grid runner.
-/// Concurrency anywhere else bypasses the deterministic-merge protocol.
-/// A path matching no file is an X1 error.
-pub const SANCTIONED_CONCURRENCY: &[&str] =
-    &["crates/sim/src/shard.rs", "crates/sim/src/runner.rs"];
-
-/// Lints one Rust source under its logical workspace path: the full
-/// pipeline (token rules + call-graph rules) over a single-file workspace,
-/// with suppression directives applied. Exposed for fixture tests;
-/// [`lint_workspace`] runs the same logic per real file (plus the
-/// cross-file S1 pass).
+/// Lints one Rust source under its logical workspace path: the call-graph
+/// rules over a single-file workspace, with suppression directives
+/// applied. Exposed for fixture tests; [`lint_workspace`] runs the same
+/// logic over the real tree.
 pub fn lint_rust_source(path: &str, source: &str) -> (Vec<Finding>, usize) {
     lint_sources(&[(path.to_string(), source.to_string())], &BTreeMap::new())
 }
 
 /// Lints a set of in-memory `(logical path, source)` files as one
-/// workspace: per-file token rules, then the interprocedural passes over
-/// the cross-file call graph, then suppression. This is what the
-/// cross-module fixtures drive.
+/// workspace: directive parsing, then the interprocedural passes over the
+/// cross-file call graph, then suppression. This is what the cross-module
+/// fixtures drive.
 pub fn lint_sources(
     sources: &[(String, String)],
     crate_names: &BTreeMap<String, String>,
 ) -> (Vec<Finding>, usize) {
-    let (kept, suppressed, _, _) = lint_source_set(sources, crate_names, false);
-    (kept, suppressed)
+    lint_source_set(sources, crate_names, false)
 }
 
-/// Shared Rust-source pipeline; returns the surviving findings, the
-/// suppressed count, per-file allows (for late passes like S1), and the
-/// built symbol table (so callers can reuse its lexed files).
+/// Shared pipeline; returns the surviving findings, sorted by (path, line,
+/// rule), and the suppressed count.
 fn lint_source_set(
     sources: &[(String, String)],
     crate_names: &BTreeMap<String, String>,
     check_config: bool,
-) -> (
-    Vec<Finding>,
-    usize,
-    BTreeMap<String, Vec<directives::Allow>>,
-    symbols::Workspace,
-) {
+) -> (Vec<Finding>, usize) {
     let ws = symbols::Workspace::build(sources, crate_names);
     let mut by_path: BTreeMap<String, Vec<Finding>> = BTreeMap::new();
     let mut allows_by_file: BTreeMap<String, Vec<directives::Allow>> = BTreeMap::new();
     for sf in &ws.files {
         let mut findings = Vec::new();
         let allows = directives::parse(&sf.path, &sf.lexed.comments, &mut findings);
-        findings.extend(rules::lint_tokens(&sf.path, &sf.lexed));
         by_path.entry(sf.path.clone()).or_default().extend(findings);
         allows_by_file.insert(sf.path.clone(), allows);
     }
@@ -221,173 +193,24 @@ fn lint_source_set(
         suppressed += s;
     }
     kept.sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
-    (kept, suppressed, allows_by_file, ws)
-}
-
-/// Checks collected stat keys against the registry: every key used by a
-/// stats sink must be registered, no file may register the same key twice,
-/// and the registry must not carry dead keys. `keys` maps a file path to
-/// its `(key, line)` uses; `registry_path` labels registry-side findings.
-pub fn check_stat_keys(
-    keys: &BTreeMap<String, Vec<(String, usize)>>,
-    registry: &str,
-    registry_path: &str,
-) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let registered: Vec<(&str, usize)> = registry
-        .lines()
-        .enumerate()
-        .map(|(idx, l)| (l.split('#').next().unwrap_or("").trim(), idx + 1))
-        .filter(|(k, _)| !k.is_empty())
-        .collect();
-
-    let mut seen_anywhere: Vec<&str> = Vec::new();
-    for (path, uses) in keys {
-        let mut seen_here: Vec<&str> = Vec::new();
-        for (key, line) in uses {
-            if seen_here.contains(&key.as_str()) {
-                findings.push(Finding {
-                    rule: "S1",
-                    path: path.clone(),
-                    line: *line,
-                    message: format!("stat key \"{key}\" is registered twice by this file"),
-                    hint: "each scheme must report a key at most once per snapshot".to_string(),
-                    chain: Vec::new(),
-                });
-            }
-            seen_here.push(key);
-            seen_anywhere.push(key);
-            if !registered.iter().any(|(k, _)| *k == key) {
-                findings.push(Finding {
-                    rule: "S1",
-                    path: path.clone(),
-                    line: *line,
-                    message: format!("stat key \"{key}\" is not in the registry ({registry_path})"),
-                    hint: format!("add \"{key}\" to {registry_path} so figure tooling knows it"),
-                    chain: Vec::new(),
-                });
-            }
-        }
-    }
-    for (key, line) in &registered {
-        if !seen_anywhere.contains(key) {
-            findings.push(Finding {
-                rule: "S1",
-                path: registry_path.to_string(),
-                line: *line,
-                message: format!("registered stat key \"{key}\" is emitted by no stats sink"),
-                hint: "remove dead keys so the registry stays the source of truth".to_string(),
-                chain: Vec::new(),
-            });
-        }
-    }
-    findings
-}
-
-/// Checks the namespace split between the two S1 sinks: `.series` column
-/// keys must live inside [`SERIES_NAMESPACE`] (so figure tooling can tell
-/// time-series columns from per-run scheme stats at a glance), and
-/// `.detail` keys must stay out of it. Both maps are path → `(key, line)`.
-pub fn check_obs_namespace(
-    detail: &BTreeMap<String, Vec<(String, usize)>>,
-    series: &BTreeMap<String, Vec<(String, usize)>>,
-) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for (path, uses) in series {
-        for (key, line) in uses {
-            if !key.starts_with(SERIES_NAMESPACE) {
-                findings.push(Finding {
-                    rule: "S1",
-                    path: path.clone(),
-                    line: *line,
-                    message: format!(
-                        "series key \"{key}\" is outside the reserved \
-                         \"{SERIES_NAMESPACE}\" namespace"
-                    ),
-                    hint: format!("name time-series columns \"{SERIES_NAMESPACE}<metric>\""),
-                    chain: Vec::new(),
-                });
-            }
-        }
-    }
-    for (path, uses) in detail {
-        for (key, line) in uses {
-            if key.starts_with(SERIES_NAMESPACE) {
-                findings.push(Finding {
-                    rule: "S1",
-                    path: path.clone(),
-                    line: *line,
-                    message: format!(
-                        "detail key \"{key}\" uses the \"{SERIES_NAMESPACE}\" namespace, \
-                         which is reserved for time-series columns"
-                    ),
-                    hint: "pick an un-prefixed key for per-run scheme stats".to_string(),
-                    chain: Vec::new(),
-                });
-            }
-        }
-    }
-    findings
+    (kept, suppressed)
 }
 
 /// Lints the workspace rooted at `root`: every `crates/*/{src,tests,
 /// examples,benches}` tree (except the linter's own) and the top-level
 /// `src/`, `tests/` and `examples/`.
 pub fn lint_workspace(root: &Path) -> std::io::Result<LintReport> {
-    let mut report = LintReport::default();
     let crate_names = crate_name_map(root)?;
     let mut sources: Vec<(String, String)> = Vec::new();
     for file in workspace_rust_files(root)? {
         sources.push((logical_path(root, &file), fs::read_to_string(&file)?));
     }
-
-    let (kept, suppressed, allows_by_file, ws) = lint_source_set(&sources, &crate_names, true);
-    let mut all = kept;
-    report.suppressed += suppressed;
-    report.files_scanned += ws.files.len();
-
-    let mut stat_keys: BTreeMap<String, Vec<(String, usize)>> = BTreeMap::new();
-    let mut series_keys: BTreeMap<String, Vec<(String, usize)>> = BTreeMap::new();
-    for sf in &ws.files {
-        let keys = rules::collect_stat_keys(&sf.lexed);
-        if !keys.is_empty() {
-            stat_keys.insert(sf.path.clone(), keys);
-        }
-        let series = rules::collect_series_keys(&sf.lexed);
-        if !series.is_empty() {
-            series_keys.insert(sf.path.clone(), series);
-        }
-    }
-
-    // S1 runs once over all collected keys; per-file directives still apply.
-    // Both sinks share the one registry, so the merged map feeds the
-    // registered/duplicate/dead checks; the namespace split is checked on
-    // the per-sink maps.
-    let mut merged = stat_keys.clone();
-    for (path, uses) in &series_keys {
-        merged
-            .entry(path.clone())
-            .or_default()
-            .extend(uses.iter().cloned());
-    }
-    let registry = fs::read_to_string(root.join(STAT_KEY_REGISTRY)).unwrap_or_default();
-    let mut s1 = check_stat_keys(&merged, &registry, STAT_KEY_REGISTRY);
-    s1.extend(check_obs_namespace(&stat_keys, &series_keys));
-    for finding in s1 {
-        let allows = allows_by_file
-            .get(&finding.path)
-            .map(Vec::as_slice)
-            .unwrap_or(&[]);
-        if allows.iter().any(|a| a.covers(finding.rule, finding.line)) {
-            report.suppressed += 1;
-        } else {
-            all.push(finding);
-        }
-    }
-
-    all.sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
-    report.findings = all;
-    Ok(report)
+    let (findings, suppressed) = lint_source_set(&sources, &crate_names, true);
+    Ok(LintReport {
+        findings,
+        suppressed,
+        files_scanned: sources.len(),
+    })
 }
 
 /// Workspace-relative forward-slash path of `file`.

@@ -1,7 +1,7 @@
 //! A recursive-descent *item* parser over the [`crate::lexer`] token stream.
 //!
-//! The workspace-wide rules (interprocedural A1/P1, the N1/F1/T1
-//! determinism-taint passes) need more structure than token patterns: which
+//! The workspace-wide rules (interprocedural P1/A1 and the N1
+//! determinism-taint pass) need more structure than token patterns: which
 //! functions exist, which impl block owns them, what their parameters are
 //! typed as, what a file imports. This parser recovers exactly that — an
 //! *item tree* (fn / impl / mod / use / struct / enum / trait / const …)

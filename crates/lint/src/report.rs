@@ -89,11 +89,11 @@ mod tests {
     fn one_finding() -> LintReport {
         LintReport {
             findings: vec![Finding {
-                rule: "S1",
+                rule: "N1",
                 path: "crates/sim/src/runner.rs".into(),
                 line: 287,
-                message: "stat key \"locks\" is not in the registry".into(),
-                hint: "register it".into(),
+                message: "iteration over hash-ordered \"FxHashMap\" feeds a sink".into(),
+                hint: "sort the keys".into(),
                 chain: Vec::new(),
             }],
             suppressed: 2,
@@ -104,7 +104,7 @@ mod tests {
     #[test]
     fn text_has_file_line_anchor() {
         let t = text(&one_finding(), false);
-        assert!(t.contains("crates/sim/src/runner.rs:287: [S1]"));
+        assert!(t.contains("crates/sim/src/runner.rs:287: [N1]"));
         assert!(t.contains("1 finding (2 suppressed)"));
         assert!(!t.contains("fix:"));
     }
@@ -112,16 +112,16 @@ mod tests {
     #[test]
     fn fix_hints_show_suppression_syntax() {
         let t = text(&one_finding(), true);
-        assert!(t.contains("fix: register it"));
-        assert!(t.contains("// silcfm-lint: allow(S1) -- <reason>"));
+        assert!(t.contains("fix: sort the keys"));
+        assert!(t.contains("// silcfm-lint: allow(N1) -- <reason>"));
     }
 
     #[test]
     fn json_is_escaped_and_structured() {
         let j = json(&one_finding());
-        assert!(j.contains("\"rule\": \"S1\""));
+        assert!(j.contains("\"rule\": \"N1\""));
         assert!(j.contains("\"line\": 287"));
-        assert!(j.contains("stat key \\\"locks\\\""));
+        assert!(j.contains("hash-ordered \\\"FxHashMap\\\""));
         assert!(j.contains("\"suppressed\": 2"));
     }
 
@@ -142,7 +142,7 @@ mod tests {
             "\"chain\": [\"Ctl::access (crates/core/src/controller.rs:4)\", \
              \"helper (crates/core/src/util.rs:2)\"]"
         ));
-        // File-local findings carry an empty array, not a missing key.
+        // Chainless findings (X1) carry an empty array, not a missing key.
         assert!(json(&one_finding()).contains("\"chain\": []"));
     }
 

@@ -1,6 +1,7 @@
 //! Guards for the contracts enforced outside the linter's own rules.
 //!
-//! Default hashers, wall-clock and env reads (`clippy.toml`'s
+//! Default hashers, wall-clock and env reads, and threads, channels, locks
+//! and atomics outside the two runners (`clippy.toml`'s
 //! `disallowed-types`/`disallowed-methods`), unwrap/expect/panic in setup
 //! code (`#![deny(..)]` headers), and hermeticity (lockfiles with no
 //! registry or git packages) are not silcfm-lint rules. Deleting or
@@ -38,6 +39,23 @@ fn disallowed(toml: &str, key: &str) -> Vec<(String, String)> {
         .collect()
 }
 
+/// Asserts that `clippy.toml`'s `key` array lists each of `paths` with a
+/// non-empty reason.
+fn assert_disallowed(toml: &str, key: &str, paths: &[&str]) {
+    let entries = disallowed(toml, key);
+    for path in paths {
+        let entry = entries.iter().find(|(p, _)| p == path);
+        assert!(
+            entry.is_some(),
+            "clippy.toml {key} lost `{path}`: {entries:?}"
+        );
+        assert!(
+            entry.is_some_and(|(_, reason)| !reason.is_empty()),
+            "clippy.toml {key} entry `{path}` needs a reason"
+        );
+    }
+}
+
 #[test]
 fn clippy_toml_disallows_every_default_hasher_clock_and_env_read() {
     let toml = read("clippy.toml");
@@ -62,18 +80,7 @@ fn clippy_toml_disallows_every_default_hasher_clock_and_env_read() {
             ][..],
         ),
     ] {
-        let entries = disallowed(&toml, key);
-        for path in paths {
-            let entry = entries.iter().find(|(p, _)| p == path);
-            assert!(
-                entry.is_some(),
-                "clippy.toml {key} lost `{path}`: {entries:?}"
-            );
-            assert!(
-                entry.is_some_and(|(_, reason)| !reason.is_empty()),
-                "clippy.toml {key} entry `{path}` needs a reason"
-            );
-        }
+        assert_disallowed(&toml, key, paths);
     }
     for flag in [
         "allow-unwrap-in-tests",
@@ -85,6 +92,35 @@ fn clippy_toml_disallows_every_default_hasher_clock_and_env_read() {
             "clippy.toml must set `{flag} = true`"
         );
     }
+}
+
+#[test]
+fn clippy_toml_confines_threads_channels_locks_and_atomics() {
+    let toml = read("clippy.toml");
+    assert_disallowed(
+        &toml,
+        "disallowed-methods",
+        &[
+            "std::thread::spawn",
+            "std::thread::scope",
+            "std::thread::Builder::spawn",
+            "std::sync::mpsc::channel",
+            "std::sync::mpsc::sync_channel",
+        ],
+    );
+    let mut types: Vec<String> = ["Mutex", "RwLock", "Condvar", "Barrier", "OnceLock"]
+        .iter()
+        .map(|t| format!("std::sync::{t}"))
+        .collect();
+    for width in ["8", "16", "32", "64", "size"] {
+        for sign in ["I", "U"] {
+            types.push(format!("std::sync::atomic::Atomic{sign}{width}"));
+        }
+    }
+    types.push("std::sync::atomic::AtomicBool".to_string());
+    types.push("std::sync::atomic::AtomicPtr".to_string());
+    let types: Vec<&str> = types.iter().map(String::as_str).collect();
+    assert_disallowed(&toml, "disallowed-types", &types);
 }
 
 #[test]

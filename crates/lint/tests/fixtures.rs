@@ -3,14 +3,13 @@
 //! and a malformed directive is itself an error (X1).
 //!
 //! Fixtures live in `tests/fixtures/` (not auto-compiled by cargo) and are
-//! linted under *logical* workspace paths so the path-scoped rule (T1's
-//! sanctioned modules) behaves exactly as in a real run.
-//! P1/A1/N1/F1 scope is *derived*: fixtures seed themselves by impling
-//! `MemoryScheme` or naming a parallel entry point, not by their path.
+//! linted under *logical* workspace paths, as in a real run. P1/A1/N1
+//! scope is *derived*: fixtures seed themselves by impling `MemoryScheme`
+//! or calling an order-sensitive sink, not by their path.
 
 use std::collections::BTreeMap;
 
-use silcfm_lint::{lint_rust_source, lint_sources, rules, Finding};
+use silcfm_lint::{lint_rust_source, lint_sources, Finding};
 
 /// A representative hot-path module path.
 const HOT: &str = "crates/core/src/controller.rs";
@@ -195,137 +194,15 @@ fn n1_fires_suppresses_and_stays_quiet_when_sorted() {
 }
 
 #[test]
-fn f1_fires_suppresses_and_ignores_integer_reductions() {
-    let (findings, suppressed) = lint_rust_source(COLD, include_str!("fixtures/f1_bad.rs"));
-    assert_eq!(spots(&findings, "F1"), vec![7], "{findings:#?}");
-    assert_eq!(suppressed, 0);
-    let chain = &findings[0].chain;
-    assert!(chain[0].contains("run_system_sharded"), "{chain:?}");
-    assert!(chain[1].contains("merge_deltas"), "{chain:?}");
-
-    let (findings, suppressed) = lint_rust_source(COLD, include_str!("fixtures/f1_suppressed.rs"));
-    assert!(findings.is_empty(), "{findings:#?}");
-    assert_eq!(suppressed, 1);
-
-    let (findings, _) = lint_rust_source(COLD, include_str!("fixtures/f1_clean.rs"));
-    assert!(findings.is_empty(), "{findings:#?}");
-}
-
-#[test]
-fn t1_fires_suppresses_and_spares_the_sanctioned_modules() {
-    let (findings, suppressed) = lint_rust_source(COLD, include_str!("fixtures/t1_bad.rs"));
-    assert_eq!(spots(&findings, "T1"), vec![2, 3, 4, 7], "{findings:#?}");
-    assert_eq!(suppressed, 0);
-
-    let (findings, suppressed) = lint_rust_source(COLD, include_str!("fixtures/t1_suppressed.rs"));
-    assert!(findings.is_empty(), "{findings:#?}");
-    assert_eq!(suppressed, 4, "both imports and both construction sites");
-
-    // The sharding runtime is allowed to use real concurrency.
-    for sanctioned in ["crates/sim/src/shard.rs", "crates/sim/src/runner.rs"] {
-        let (findings, _) = lint_rust_source(sanctioned, include_str!("fixtures/t1_bad.rs"));
-        assert!(findings.is_empty(), "{sanctioned}: {findings:#?}");
-    }
-}
-
-#[test]
-fn s1_catches_duplicate_and_unregistered_keys_and_dead_registry_entries() {
-    let lexed = silcfm_lint::lexer::lex(include_str!("fixtures/s1_bad.rs"));
-    let mut keys = BTreeMap::new();
-    keys.insert(
-        "crates/sim/src/stats.rs".to_string(),
-        rules::collect_stat_keys(&lexed),
-    );
-
-    let registry = "locks\ndead_key # registered but emitted nowhere\n";
-    let findings = silcfm_lint::check_stat_keys(&keys, registry, "crates/lint/stat_keys.txt");
-
-    let dup: Vec<_> = findings
-        .iter()
-        .filter(|f| f.message.contains("twice"))
-        .map(|f| (f.path.as_str(), f.line))
-        .collect();
-    assert_eq!(dup, vec![("crates/sim/src/stats.rs", 4)], "{findings:#?}");
-
-    let unregistered: Vec<_> = findings
-        .iter()
-        .filter(|f| f.message.contains("not in the registry"))
-        .map(|f| (f.path.as_str(), f.line))
-        .collect();
-    assert_eq!(
-        unregistered,
-        vec![("crates/sim/src/stats.rs", 5)],
-        "{findings:#?}"
-    );
-
-    let dead: Vec<_> = findings
-        .iter()
-        .filter(|f| f.message.contains("emitted by no stats sink"))
-        .map(|f| (f.path.as_str(), f.line))
-        .collect();
-    assert_eq!(
-        dead,
-        vec![("crates/lint/stat_keys.txt", 2)],
-        "{findings:#?}"
-    );
-    assert!(findings.iter().all(|f| f.rule == "S1"), "{findings:#?}");
-}
-
-#[test]
-fn s1_audits_the_series_sink_and_the_obs_namespace() {
-    let lexed = silcfm_lint::lexer::lex(include_str!("fixtures/s1_obs_bad.rs"));
-    let path = "crates/obs/src/sampler.rs".to_string();
-    let mut detail = BTreeMap::new();
-    detail.insert(path.clone(), rules::collect_stat_keys(&lexed));
-    let mut series = BTreeMap::new();
-    series.insert(path.clone(), rules::collect_series_keys(&lexed));
-    assert_eq!(series[&path].len(), 4, "all four series literals collected");
-
-    // Registry pass over the merged keys, as `lint_workspace` runs it: the
-    // duplicate (7) and the unregistered keys (8, 9) fire; "obs.sneaky" is
-    // registered here so only the namespace pass flags it.
-    let mut merged = detail.clone();
-    merged
-        .get_mut(&path)
-        .unwrap()
-        .extend(series[&path].iter().cloned());
-    let registry = "obs.hit_rate\nobs.sneaky\n";
-    let findings = silcfm_lint::check_stat_keys(&merged, registry, "crates/lint/stat_keys.txt");
-    let dup: Vec<_> = findings
-        .iter()
-        .filter(|f| f.message.contains("twice"))
-        .map(|f| f.line)
-        .collect();
-    assert_eq!(dup, vec![7], "{findings:#?}");
-    let unregistered: Vec<_> = findings
-        .iter()
-        .filter(|f| f.message.contains("not in the registry"))
-        .map(|f| f.line)
-        .collect();
-    assert_eq!(unregistered, vec![8, 9], "{findings:#?}");
-
-    // Namespace pass: the bare series key (9) and the squatting detail
-    // key (12) fire.
-    let ns = silcfm_lint::check_obs_namespace(&detail, &series);
-    let lines: Vec<_> = ns.iter().map(|f| f.line).collect();
-    assert_eq!(lines, vec![9, 12], "{ns:#?}");
-    assert!(ns[0].message.contains("outside the reserved"), "{ns:#?}");
-    assert!(
-        ns[1].message.contains("reserved for time-series"),
-        "{ns:#?}"
-    );
-    assert!(ns.iter().all(|f| f.rule == "S1"), "{ns:#?}");
-}
-
-#[test]
 fn x1_flags_every_malformed_directive_and_is_not_suppressible() {
     let (findings, suppressed) = lint_rust_source(COLD, include_str!("fixtures/x1_malformed.rs"));
     // Missing reason, empty reason, unknown rule, empty rule list, an
-    // unknown verb, and the four IDs that moved to clippy.toml and the
-    // lockfile test — one X1 per directive, none silenceable.
+    // unknown verb, and the seven retired IDs (moved to clippy.toml, the
+    // lockfile test and the stat-key test, or deleted with their subject)
+    // — one X1 per directive, none silenceable.
     assert_eq!(
         spots(&findings, "X1"),
-        vec![2, 3, 4, 5, 6, 7, 8, 9, 10],
+        vec![2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13],
         "{findings:#?}"
     );
     assert_eq!(suppressed, 0);
@@ -333,8 +210,8 @@ fn x1_flags_every_malformed_directive_and_is_not_suppressible() {
 
 #[test]
 fn x1_survives_a_file_wide_allow() {
-    let src = "// silcfm-lint: allow-file(T1, X1) -- trying to silence the police\n\
-               // silcfm-lint: allow(T1)\n";
+    let src = "// silcfm-lint: allow-file(N1, X1) -- trying to silence the police\n\
+               // silcfm-lint: allow(N1)\n";
     let (findings, _) = lint_rust_source(COLD, src);
     assert_eq!(spots(&findings, "X1"), vec![2], "{findings:#?}");
 }

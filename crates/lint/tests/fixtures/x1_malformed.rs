@@ -8,4 +8,7 @@
 // silcfm-lint: allow(D2) -- wall clock, now clippy's disallowed-methods
 // silcfm-lint: allow(E1) -- setup panic, now a clippy deny header
 // silcfm-lint: allow-file(H1) -- registry dependency, now the lockfile test
+// silcfm-lint: allow(F1) -- float merge on a parallel path, deleted with its subject
+// silcfm-lint: allow(T1) -- threads outside the runners, now clippy's disallowed-methods
+// silcfm-lint: allow-file(S1) -- stat-key registry, now STAT_KEYS and its tier-1 test
 fn nothing() {}

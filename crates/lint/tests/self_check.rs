@@ -29,16 +29,18 @@ fn an_injected_bad_file_turns_the_report_red() {
         "[package]\nname = \"bad-core\"\n",
     )
     .expect("crate manifest");
-    // One file, three contracts the linter still owns: bare indexing on
-    // the hot path (P1), a shared atomic outside the sanctioned
-    // concurrency modules (T1), and a stat key missing from the registry
-    // (S1; the bad tree has no registry at all).
+    // One file, the three contracts the linter owns: bare indexing on the
+    // hot path (P1), an allocation reachable from it (A1), and hash
+    // iteration feeding an order-sensitive merge (N1).
     fs::write(
         hot.join("controller.rs"),
         "struct Ctl;\nimpl MemoryScheme for Ctl {\n    \
-         fn access(&mut self, v: &[u32]) -> u32 { v[0] }\n}\n\
-         fn count() -> AtomicU64 { AtomicU64::new(0) }\n\
-         fn stats(s: &mut SchemeStats) { s.detail(\"unregistered\", 1.0); }\n",
+         fn access(&mut self, v: &[u32]) -> u32 { grow(); v[0] }\n}\n\
+         fn grow() { let _ = vec![0u8; 64]; }\n\
+         struct M { counts: FxHashMap }\n\
+         impl M {\n    \
+         fn collect(&self) -> u64 { let mut t = 0; for (_k, v) in &self.counts { t += v; } self.merge(); t }\n    \
+         fn merge(&self) {}\n}\n",
     )
     .expect("bad source");
 
@@ -52,8 +54,8 @@ fn an_injected_bad_file_turns_the_report_red() {
             .collect()
     };
     assert_eq!(at("P1"), vec![3], "{:#?}", report.findings);
-    assert_eq!(at("T1"), vec![5, 5], "{:#?}", report.findings);
-    assert_eq!(at("S1"), vec![6], "{:#?}", report.findings);
+    assert_eq!(at("A1"), vec![5], "{:#?}", report.findings);
+    assert_eq!(at("N1"), vec![8], "{:#?}", report.findings);
     // The injected tree has none of the fns the declared amortization
     // boundaries name, which a full-workspace run reports as stale config.
     assert!(

@@ -320,11 +320,11 @@ pub fn check_chrome_trace(text: &str) -> Result<(u64, usize), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sampler::{run_series, EpochSampler};
+    use crate::sampler::{EpochSampler, RUN_SERIES};
     use silcfm_types::obs::{RowKind, TraceEvent};
 
     fn sample_report() -> ObsReport {
-        let mut series = EpochSampler::new(run_series(), 100, 300);
+        let mut series = EpochSampler::new(RUN_SERIES, 100, 300);
         series.seal(
             250,
             &[

@@ -12,8 +12,9 @@
 //!   (power-of-two N; N = 1 is full tracing) in a fixed-capacity ring that
 //!   overwrites its oldest events (and counts the drops) so long runs keep
 //!   the most recent window;
-//! * [`EpochSampler`] — a per-epoch time-series sampler over a declared
-//!   [`SeriesSpec`] column set, with preallocated storage;
+//! * [`EpochSampler`] — a per-epoch time-series sampler over a fixed
+//!   column list ([`RUN_SERIES`] or [`SLO_SERIES`]), with preallocated
+//!   storage;
 //! * [`QuantileSketch`] / [`LatencyBreakdown`] — deterministic, mergeable
 //!   quantile sketches for per-class latency percentiles (p50/p95/p99/p999),
 //!   the crate's one latency structure, with a seeded [`LatencyReservoir`]
@@ -41,7 +42,7 @@ pub mod sketch;
 pub mod table;
 
 pub use report::{ObsReport, TaggedEvent, Unit};
-pub use sampler::{run_series, slo_series, EpochSampler, SeriesSpec};
+pub use sampler::{EpochSampler, RUN_SERIES, SLO_SERIES};
 pub use sampling::SamplingTracer;
 pub use sketch::{LatencyBreakdown, LatencyReservoir, QuantileSketch};
 pub use table::{Align, TextTable};

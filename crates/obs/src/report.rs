@@ -109,7 +109,6 @@ impl ObsReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sampler::SeriesSpec;
     use silcfm_types::obs::Event;
 
     fn te(at: u64) -> TraceEvent {
@@ -125,7 +124,7 @@ mod tests {
             [vec![te(5), te(9)], vec![te(5), te(1)], vec![te(5)]],
             3,
             LatencyBreakdown::new(),
-            EpochSampler::new(SeriesSpec::new(), 100, 0),
+            EpochSampler::new(&[], 100, 0),
             1000,
         );
         let order: Vec<(u64, Unit)> = r.events.iter().map(|e| (e.at, e.unit)).collect();

@@ -22,7 +22,7 @@
 //! engine, so the admitted record stream (and with it the sharded
 //! byte-identity proof) is untouched.
 
-use silcfm_obs::sampler::{slo_series, EpochSampler};
+use silcfm_obs::sampler::{EpochSampler, SLO_SERIES};
 use silcfm_obs::QuantileSketch;
 use silcfm_sim::ServiceTap;
 use silcfm_types::fault::{ChannelFault, FaultKind, ScheduledFault};
@@ -459,7 +459,7 @@ impl RequestTracker {
         let epoch = self.params.epoch_cycles.max(1);
         let slo = self.params.slo_p99_cycles;
         let expected = total_cycles.max(self.buckets.len() as u64 * epoch);
-        let mut series = EpochSampler::new(slo_series(), epoch, expected);
+        let mut series = EpochSampler::new(SLO_SERIES, epoch, expected);
         let mut compliant_flags = Vec::with_capacity(self.buckets.len());
         for b in &self.buckets {
             let p99 = b.sketch.p99();

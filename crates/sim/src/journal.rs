@@ -9,15 +9,13 @@
 //! * one `<TAG> <fields…>` line per finished record. Floats are written as
 //!   the hex of their IEEE-754 bits, so a journal round-trip is
 //!   *bit-identical* — a resumed grid's aggregate equals the uninterrupted
-//!   run's byte for byte.
+//!   run's byte for byte. Scheme detail keys are read back as the matching
+//!   [`STAT_KEYS`] entry (they are `&'static str`), so a key outside that
+//!   list makes its line malformed.
 //!
 //! Every append reaches the file before the caller moves on, so a crash
 //! loses at most the in-flight record. The reader tolerates exactly that: a
 //! torn final line is discarded, anything else malformed is an error.
-
-// silcfm-lint: allow-file(T1) -- the only concurrency here is the process-wide
-// intern pool below: an idempotent, leaked String -> &'static str map whose
-// lock order cannot affect simulation results.
 
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
@@ -26,9 +24,8 @@ use std::io::{Read as _, Write as _};
 use std::marker::PhantomData;
 use std::path::Path;
 use std::str::SplitWhitespace;
-use std::sync::{Mutex, OnceLock};
 
-use silcfm_types::{FxHashMap, FxHasher, SchemeStats, SilcFmError};
+use silcfm_types::{FxHasher, SchemeStats, SilcFmError, STAT_KEYS};
 
 use crate::experiment::FaultParams;
 use crate::metrics::{RunResult, TrafficTally};
@@ -223,28 +220,6 @@ pub fn grid_digest(jobs: &[Job], faults: Option<&FaultParams>) -> u64 {
     h.finish()
 }
 
-/// Returns the interned `&'static str` for `s`.
-///
-/// [`silcfm_types::SchemeStats`] detail keys are `&'static str` so the hot
-/// path never allocates; a journal read must rebuild them from file text.
-/// The intern pool leaks one copy of each *distinct* key ever read — keys
-/// come from the fixed registry in `crates/lint/stat_keys.txt`, so the pool
-/// is small and bounded.
-fn intern(s: &str) -> &'static str {
-    static POOL: OnceLock<Mutex<FxHashMap<String, &'static str>>> = OnceLock::new();
-    let pool = POOL.get_or_init(|| Mutex::new(FxHashMap::default()));
-    let Ok(mut pool) = pool.lock() else {
-        // A poisoned intern pool cannot corrupt data; fall back to leaking.
-        return Box::leak(s.to_string().into_boxed_str());
-    };
-    if let Some(k) = pool.get(s) {
-        return k;
-    }
-    let k: &'static str = Box::leak(s.to_string().into_boxed_str());
-    pool.insert(s.to_string(), k);
-    k
-}
-
 /// One finished grid job: its index in the job list and its complete
 /// [`RunResult`].
 #[derive(Debug, Clone, PartialEq)]
@@ -316,9 +291,12 @@ impl Record for JobRecord {
             footprint_bytes: f.u64()?,
         };
         // A detail count read from the file allocates nothing up front: a
-        // huge count fails on its first missing field.
+        // huge count fails on its first missing field. Detail keys are
+        // `&'static str` so the hot path never allocates one; the decoder
+        // takes each from `STAT_KEYS`, and a key outside it is malformed.
         for _ in 0..f.u64()? {
-            let key = intern(f.str()?);
+            let key = f.str()?;
+            let key = STAT_KEYS.iter().copied().find(|k| *k == key)?;
             result.scheme_stats.details.push((key, f.f64()?));
         }
         Some(Self { index, result })
@@ -462,11 +440,65 @@ mod tests {
         assert_eq!(grid_digest(&[job], None), grid_digest(&[job], None));
     }
 
+    /// `record(1, 600)`'s line with its second detail key renamed to one
+    /// outside `STAT_KEYS`.
+    fn unlisted_key_line() -> String {
+        let mut line = String::from(JobRecord::TAG);
+        record(1, 600).encode(&mut line);
+        assert!(line.contains(" fault_poisoned "), "{line}");
+        line.replace(" fault_poisoned ", " predictor_accuracy ")
+    }
+
     #[test]
-    fn intern_returns_stable_pointers() {
-        let a = intern("fault_masked");
-        let b = intern("fault_masked");
-        assert!(core::ptr::eq(a, b));
-        assert_eq!(a, "fault_masked");
+    fn unlisted_detail_key_mid_file_is_an_error() {
+        let path = tmp("unlisted-mid.journal");
+        let mut w = Journal::create(&path, 3).unwrap();
+        w.append(&record(0, 500)).unwrap();
+        drop(w);
+        let mut valid = String::from(JobRecord::TAG);
+        record(2, 700).encode(&mut valid);
+        append_raw(&path, &format!("{}\n{valid}\n", unlisted_key_line()));
+        let err = Journal::<JobRecord>::resume(&path, 3).unwrap_err();
+        assert!(err.to_string().contains("malformed journal line"), "{err}");
+    }
+
+    #[test]
+    fn unlisted_detail_key_on_the_last_line_is_a_torn_tail() {
+        let path = tmp("unlisted-tail.journal");
+        let mut w = Journal::create(&path, 4).unwrap();
+        w.append(&record(0, 500)).unwrap();
+        drop(w);
+        append_raw(&path, &format!("{}\n", unlisted_key_line()));
+        let (mut w, done) = Journal::<JobRecord>::resume(&path, 4).unwrap();
+        assert_eq!(done, vec![record(0, 500)], "the last line is dropped");
+        w.append(&record(1, 600)).unwrap();
+        drop(w);
+        let (_w, done) = Journal::<JobRecord>::resume(&path, 4).unwrap();
+        assert_eq!(done, vec![record(0, 500), record(1, 600)]);
+    }
+
+    #[test]
+    fn every_schemes_real_result_round_trips_bit_identically() {
+        use crate::experiment::{run, RunParams, SchemeKind};
+        use silcfm_trace::profiles;
+        use silcfm_types::SystemConfig;
+        let mut schemes = vec![SchemeKind::NoNm];
+        schemes.extend(SchemeKind::fig7_lineup());
+        let params = RunParams {
+            accesses_per_core: 2_000,
+            ..RunParams::smoke()
+        };
+        let mcf = profiles::by_name("mcf").unwrap();
+        for (index, scheme) in schemes.into_iter().enumerate() {
+            let result = run(mcf, scheme, &SystemConfig::small(), &params);
+            let rec = JobRecord { index, result };
+            let mut line = String::from(JobRecord::TAG);
+            rec.encode(&mut line);
+            let back: JobRecord = parse(&line).unwrap_or_else(|| panic!("{line}"));
+            let mut again = String::from(JobRecord::TAG);
+            back.encode(&mut again);
+            assert_eq!(again, line, "{}", scheme.label());
+            assert_eq!(back, rec, "{}", scheme.label());
+        }
     }
 }

@@ -8,9 +8,9 @@
 
 use silcfm_dram::DramModel;
 use silcfm_obs::sampler::{
-    run_series, EpochSampler, COL_FM_BUS_UTIL, COL_HIT_RATE, COL_LAT_P50, COL_LAT_P95, COL_LAT_P99,
+    EpochSampler, COL_FM_BUS_UTIL, COL_HIT_RATE, COL_LAT_P50, COL_LAT_P95, COL_LAT_P99,
     COL_LAT_P999, COL_LOCKS, COL_NM_BUS_UTIL, COL_NM_DEMAND_FRAC, COL_READ_QUEUE, COL_SWAPS,
-    COL_WRITE_QUEUE,
+    COL_WRITE_QUEUE, RUN_SERIES,
 };
 use silcfm_obs::{LatencyBreakdown, ObsReport, QuantileSketch};
 use silcfm_types::obs::Tracer;
@@ -57,7 +57,7 @@ impl RunObs {
     /// `expected_cycles` only sizes the preallocation.
     pub fn new(epoch_cycles: u64, expected_cycles: u64) -> Self {
         Self {
-            sampler: EpochSampler::new(run_series(), epoch_cycles, expected_cycles),
+            sampler: EpochSampler::new(RUN_SERIES, epoch_cycles, expected_cycles),
             latency: LatencyBreakdown::new(),
             epoch_latency: QuantileSketch::new(),
             epoch_accesses: 0,

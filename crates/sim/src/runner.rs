@@ -38,6 +38,10 @@
 use std::collections::VecDeque;
 use std::path::Path;
 use std::sync::mpsc;
+#[allow(
+    clippy::disallowed_types,
+    reason = "the grid pool owns the workspace's job-level parallelism; results are reassembled in job order"
+)]
 use std::sync::Mutex;
 
 use silcfm_trace::profiles::WorkloadProfile;
@@ -194,6 +198,11 @@ pub fn run_grid_serial(jobs: &[Job]) -> Vec<RunResult> {
 /// baseline) therefore cannot serialize the tail of the grid behind one
 /// unlucky worker. Callers tag outputs with their index, so what they
 /// assemble is independent of thread count, scheduling, and steal pattern.
+#[allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the grid pool owns the workspace's job-level parallelism; results are reassembled in job order"
+)]
 fn schedule<R, F>(todo: &[usize], threads: usize, execute: F, mut sink: impl FnMut(usize, R))
 where
     R: Send,

@@ -42,6 +42,10 @@
 
 use std::collections::VecDeque;
 use std::hash::Hasher as _;
+#[allow(
+    clippy::disallowed_types,
+    reason = "the shard engine owns the single-run parallelism; its epoch merge folds lanes in a fixed order"
+)]
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use silcfm_trace::{WorkloadGen, WorkloadProfile};
@@ -212,6 +216,10 @@ struct LaneQueueState {
 /// consumer is guaranteed to break, because the lane it wants next cannot
 /// be both empty (it is waiting on it) and full (its producer sleeps).
 #[derive(Default)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "the shard engine owns the single-run parallelism; its epoch merge folds lanes in a fixed order"
+)]
 struct SpaceSignal {
     version: Mutex<u64>,
     changed: Condvar,
@@ -242,6 +250,10 @@ impl SpaceSignal {
 }
 
 /// The bounded handoff between one lane's producer and the consumer.
+#[allow(
+    clippy::disallowed_types,
+    reason = "the shard engine owns the single-run parallelism; its epoch merge folds lanes in a fixed order"
+)]
 struct LaneQueue {
     state: Mutex<LaneQueueState>,
     /// Consumer waits here for a chunk.
@@ -249,6 +261,10 @@ struct LaneQueue {
 }
 
 impl LaneQueue {
+    #[allow(
+        clippy::disallowed_types,
+        reason = "the shard engine owns the single-run parallelism; its epoch merge folds lanes in a fixed order"
+    )]
     fn new() -> Self {
         Self {
             state: Mutex::new(LaneQueueState::default()),
@@ -645,6 +661,10 @@ pub(crate) fn run_system_sharded<T: Tracer>(
 /// The [`SystemOutcome`] — and every statistic the system accumulates — is
 /// bit-identical to the serial feed's over the same streams, at any thread
 /// count. See the module docs for why.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the shard engine owns the single-run parallelism; its epoch merge folds lanes in a fixed order"
+)]
 pub fn run_system_sharded_tapped<T: Tracer, L: LaneSource, S: ServiceTap>(
     system: &mut System<T>,
     source: &L,

@@ -95,25 +95,23 @@ where
 mod tests {
     use super::*;
     use crate::rng::Rng;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::cell::{Cell, RefCell};
 
     #[test]
     fn runs_the_requested_number_of_cases() {
-        let count = AtomicU64::new(0);
-        forall_cases("counter", 17, |_| {
-            count.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 17);
+        let count = Cell::new(0u64);
+        forall_cases("counter", 17, |_| count.set(count.get() + 1));
+        assert_eq!(count.get(), 17);
     }
 
     #[test]
     fn case_seeds_differ() {
-        let firsts = std::sync::Mutex::new(crate::FxHashSet::default());
+        let firsts = RefCell::new(crate::FxHashSet::default());
         forall_cases("distinct", 64, |rng| {
-            firsts.lock().unwrap().insert(rng.next_u64());
+            firsts.borrow_mut().insert(rng.next_u64());
         });
         assert_eq!(
-            firsts.lock().unwrap().len(),
+            firsts.borrow().len(),
             64,
             "every case sees a distinct stream"
         );
@@ -131,11 +129,9 @@ mod tests {
     fn forall_seed_reproduces_a_case() {
         // Whatever case 3 generates under forall, forall_seed regenerates.
         let seed = SplitMix64::new(BASE_SEED).split(3);
-        let expected = std::sync::Mutex::new(None);
-        forall_seed("repro", seed, |rng| {
-            *expected.lock().unwrap() = Some(rng.next_u64());
-        });
+        let expected = Cell::new(None);
+        forall_seed("repro", seed, |rng| expected.set(Some(rng.next_u64())));
         let mut again = Xoshiro256StarStar::seed_from_u64(seed);
-        assert_eq!(expected.lock().unwrap().unwrap(), again.next_u64());
+        assert_eq!(expected.get(), Some(again.next_u64()));
     }
 }

@@ -74,4 +74,4 @@ pub use mem::{MemKind, MemOp, OpKind, TrafficClass};
 pub use obs::{Event, FaultClass, NullTracer, RowKind, TraceEvent, Tracer};
 pub use oplist::OpList;
 pub use record::TraceRecord;
-pub use scheme::{AccessClass, AccessFlags, MemoryScheme, SchemeOutcome, SchemeStats};
+pub use scheme::{AccessClass, AccessFlags, MemoryScheme, SchemeOutcome, SchemeStats, STAT_KEYS};

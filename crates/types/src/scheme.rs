@@ -233,6 +233,42 @@ impl Default for SchemeOutcome {
     }
 }
 
+/// Every key a scheme's [`MemoryScheme::stats`] passes to
+/// [`SchemeStats::detail`]: the schema report tooling and the grid journal
+/// read detail keys against (the journal's decoder rebuilds each key's
+/// `&'static str` from this list). The flat namespace is shared, each
+/// snapshot reports a key at most once, and the `obs.` prefix is reserved
+/// for time-series columns. `tests/properties.rs` checks all three
+/// against every scheme, and that no entry is dead.
+pub const STAT_KEYS: &[&str] = &[
+    // SILC-FM controller (crates/core/src/controller.rs).
+    "locks",
+    "unlocks",
+    "restores",
+    "bypassed",
+    "all_locked_serves",
+    "way_accuracy",
+    "location_accuracy", // also CAMEO's predictor
+    "history_hit_rate",
+    "history_bits_per_fetch",
+    // SILC-FM fault plane (crates/core/src/controller.rs).
+    "faults_injected",
+    "fault_corrected",
+    "fault_recovered",
+    "fault_poisoned",
+    "fault_masked",
+    "failover_transitions",
+    "degraded_ways",
+    // CAMEO (crates/baselines/src/cameo.rs).
+    "swaps",
+    "prefetch_swaps",
+    // PoM (crates/baselines/src/pom.rs).
+    "migrations", // also HMA
+    "remap_cache_misses",
+    // HMA (crates/baselines/src/hma.rs).
+    "epochs",
+];
+
 /// Aggregate statistics a scheme reports at the end of a run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SchemeStats {
@@ -260,28 +296,9 @@ impl SchemeStats {
         }
     }
 
-    /// Adds a named detail metric.
+    /// Adds a named detail metric; `name` must be one of [`STAT_KEYS`].
     pub fn detail(&mut self, name: &'static str, value: f64) {
         self.details.push((name, value));
-    }
-
-    /// Folds another snapshot into this one: counters add, and detail
-    /// metrics with the same key add as well (a key present in only one
-    /// side is carried over). Merging preserves the access-rate identity —
-    /// the merged rate is the access-weighted mean of the inputs — so
-    /// deterministic lane/epoch aggregation (see `silcfm-sim`'s sharded
-    /// runner) loses nothing relative to a single serial tally.
-    pub fn merge(&mut self, other: &SchemeStats) {
-        self.accesses += other.accesses;
-        self.serviced_from_nm += other.serviced_from_nm;
-        self.subblocks_moved += other.subblocks_moved;
-        self.blocks_migrated += other.blocks_migrated;
-        for (key, value) in &other.details {
-            match self.details.iter_mut().find(|(k, _)| k == key) {
-                Some((_, v)) => *v += value,
-                None => self.details.push((key, *value)),
-            }
-        }
     }
 }
 
@@ -486,7 +503,7 @@ mod tests {
             ..Default::default()
         };
         assert!((s.access_rate() - 0.8).abs() < 1e-12);
-        s.detail("predictor_accuracy", 0.95);
+        s.detail("way_accuracy", 0.95);
         assert_eq!(s.details.len(), 1);
         let empty = SchemeStats::default();
         assert_eq!(empty.access_rate(), 0.0);
@@ -496,45 +513,5 @@ mod tests {
     fn stats_display_is_nonempty() {
         let s = SchemeStats::default();
         assert!(s.to_string().contains("accesses=0"));
-    }
-
-    #[test]
-    fn merge_adds_counters_and_unions_details() {
-        let mut a = SchemeStats {
-            accesses: 10,
-            serviced_from_nm: 8,
-            subblocks_moved: 3,
-            blocks_migrated: 1,
-            ..Default::default()
-        };
-        a.detail("locks", 2.0);
-        let b = SchemeStats {
-            accesses: 30,
-            serviced_from_nm: 6,
-            subblocks_moved: 4,
-            blocks_migrated: 0,
-            details: vec![("locks", 5.0), ("epochs", 7.0)],
-        };
-        a.merge(&b);
-        assert_eq!(a.accesses, 40);
-        assert_eq!(a.serviced_from_nm, 14);
-        assert_eq!(a.subblocks_moved, 7);
-        assert_eq!(a.blocks_migrated, 1);
-        assert_eq!(a.details, vec![("locks", 7.0), ("epochs", 7.0)]);
-        // The merged rate is the access-weighted mean: 14/40.
-        assert!((a.access_rate() - 0.35).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = SchemeStats {
-            accesses: 5,
-            serviced_from_nm: 2,
-            ..Default::default()
-        };
-        a.detail("swaps", 1.0);
-        let before = a.clone();
-        a.merge(&SchemeStats::default());
-        assert_eq!(a, before);
     }
 }

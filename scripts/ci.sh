@@ -11,10 +11,12 @@ cd "$(dirname "$0")/.."
 
 # The in-tree linter runs first: it needs only its own crate compiled, so
 # a determinism/hot-path violation fails in seconds, before the full
-# workspace builds (see DESIGN.md §8 for the rule table and §13 for the
-# workspace call-graph analyzer behind P1/A1/N1/F1). The file-local
-# contracts (default hashers, wall-clock/env reads, setup-code panics) are
-# enforced by the clippy step below through clippy.toml.
+# workspace builds. It runs the call-graph rules P1, A1 and N1, plus X1 on
+# its own directives and config (see DESIGN.md §8 for the rule table and
+# §13 for the analyzer). The file-local contracts (default hashers,
+# wall-clock/env reads, threads/locks/atomics outside the grid and shard
+# runners, setup-code panics) are enforced by the clippy step below
+# through clippy.toml; the stat-key schema is a test in `cargo test`.
 echo "==> silcfm-lint (offline, cold budget)"
 cargo build -q --offline -p silcfm-lint
 lint_bin="target/debug/silcfm-lint"
@@ -34,6 +36,10 @@ echo "    cold ${cold_ms} ms; findings artifact: target/lint-findings.json"
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+# clippy.toml's disallowed types and methods keep default hashers, the
+# wall clock, env reads, and thread/channel/lock/atomic use out of the
+# simulator: concurrency only in the items of crates/sim/src/runner.rs and
+# shard.rs that carry an allow (tests included, DESIGN.md §8).
 echo "==> cargo clippy -D warnings (offline)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

@@ -386,12 +386,11 @@ fn ring_wraparound_keeps_newest_events() {
 /// sealed sampler holds exactly `ceil(total_cycles / epoch)` rows.
 #[test]
 fn sampler_seals_to_exact_row_count() {
-    use silc_fm::obs::{EpochSampler, SeriesSpec};
+    use silc_fm::obs::EpochSampler;
     forall("sampler_seals_to_exact_row_count", |rng| {
         let epoch = rng.gen_range(1u64..1_000);
         let total = rng.gen_range(0u64..50_000);
-        let spec = SeriesSpec::new().series("obs.hit_rate");
-        let mut s = EpochSampler::new(spec, epoch, total);
+        let mut s = EpochSampler::new(&["obs.hit_rate"], epoch, total);
         // Advance in random strides, recording only when the sampler says a
         // row is due — exactly the `System::run` protocol.
         let mut cycle = 0u64;
@@ -407,6 +406,68 @@ fn sampler_seals_to_exact_row_count() {
             assert_eq!(s.row(i).len(), 1, "row arity survives sealing");
         }
     });
+}
+
+/// The stat-key schema holds for every scheme: each detail key `stats()`
+/// reports is listed in `STAT_KEYS` and reported at most once per
+/// snapshot, every listed key is reported by some scheme, and the `obs.`
+/// prefix belongs to the time-series columns alone, which are unique per
+/// column list.
+#[test]
+fn stat_keys_are_listed_unique_and_live() {
+    use silc_fm::obs::{RUN_SERIES, SLO_SERIES};
+    use silc_fm::sim::SchemeKind;
+    use silc_fm::types::STAT_KEYS;
+
+    let mut schemes = vec![SchemeKind::NoNm];
+    schemes.extend(SchemeKind::fig7_lineup());
+    let accesses = arb_accesses(&mut Xoshiro256StarStar::seed_from_u64(29), 500);
+    let mut reported: Vec<&str> = Vec::new();
+    for kind in schemes {
+        let label = kind.label();
+        let mut scheme = kind.build(space(), accesses.len() as u64);
+        for a in &accesses {
+            scheme.access_fresh(a);
+        }
+        let details = scheme.stats().details;
+        for (i, (key, _)) in details.iter().enumerate() {
+            assert!(
+                STAT_KEYS.contains(key),
+                "{label}: {key:?} is not in STAT_KEYS"
+            );
+            assert!(
+                !details[..i].iter().any(|(k, _)| k == key),
+                "{label}: {key:?} is reported twice in one snapshot"
+            );
+            assert!(
+                !key.starts_with("obs."),
+                "{label}: {key:?} uses the obs. prefix reserved for time-series columns"
+            );
+            reported.push(key);
+        }
+    }
+    for (i, key) in STAT_KEYS.iter().enumerate() {
+        assert!(
+            !STAT_KEYS[..i].contains(key),
+            "STAT_KEYS lists {key:?} twice"
+        );
+        assert!(
+            reported.contains(key),
+            "STAT_KEYS lists {key:?}, which no scheme reports"
+        );
+    }
+    for cols in [RUN_SERIES, SLO_SERIES] {
+        for (i, col) in cols.iter().enumerate() {
+            assert!(
+                col.starts_with("obs."),
+                "series column {col:?} lacks the obs. prefix"
+            );
+            assert!(
+                !cols[..i].contains(col),
+                "series column {col:?} is declared twice"
+            );
+        }
+    }
 }
 
 /// Fault schedules replay bit-identically from their seed and every drawn
